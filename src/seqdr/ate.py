@@ -11,7 +11,7 @@ whose influence values the caller supplies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -23,7 +23,6 @@ from .splitting import EVAL, TRAIN, NotReady, SplitLedger, SplitMode
 
 __all__ = [
     "Observation",
-    "InfluenceStats",
     "EngineConfig",
     "AteEngine",
     "EmitRow",
@@ -35,6 +34,10 @@ __all__ = [
 
 RANDOMIZED = "randomized"
 OBSERVATIONAL = "observational"
+
+# an arm with fewer training rows than this gets a mean-only outcome model,
+# and a view with fewer than twice this a mean-only propensity model
+_COLD_START_MIN = 5
 
 
 @dataclass(frozen=True)
@@ -56,27 +59,6 @@ class Observation:
         if self.known_pi is not None and not 0.0 < self.known_pi < 1.0:
             raise DataError(f"known propensity must lie in (0, 1), got {self.known_pi}")
         object.__setattr__(self, "x", x)
-
-
-@dataclass(frozen=True)
-class InfluenceStats:
-    """Streaming moments of the scored influence values."""
-
-    moments: RunningMoments = field(default_factory=RunningMoments)
-
-    def push(self, value: float) -> "InfluenceStats":
-        return InfluenceStats(self.moments.push(value))
-
-    @property
-    def count(self) -> int:
-        return self.moments.count
-
-    @property
-    def mean(self) -> float:
-        return self.moments.mean
-
-    def variance(self) -> float:
-        return self.moments.variance()
 
 
 def eval_influence(z: Observation, fit: NuisanceFit) -> float:
@@ -140,7 +122,6 @@ class EngineConfig:
     clip_delta: float = 0.01
     split: SplitMode = field(default_factory=SplitMode)
     seed: SeedSpec = field(default_factory=lambda: SeedSpec(0))
-    cold_start_min: int = 5
 
     def __post_init__(self):
         if self.mode not in (RANDOMIZED, OBSERVATIONAL):
@@ -206,7 +187,7 @@ class _View:
         return n & (n - 1) == 0  # powers of two
 
     def _arm_learner(self, n_arm: int) -> LearnerSpec:
-        if n_arm < self.config.cold_start_min:
+        if n_arm < _COLD_START_MIN:
             return LearnerSpec("mean_only")
         return self.config.learner
 
@@ -227,8 +208,10 @@ class _View:
         pi = None
         if self.config.mode == OBSERVATIONAL:
             spec = self.config.learner
-            if a.size < 2 * self.config.cold_start_min:
+            if a.size < 2 * _COLD_START_MIN:
                 spec = LearnerSpec("mean_only")
+            elif spec.kind == "linear":
+                spec = LearnerSpec("logistic")  # the propensity counterpart
             try:
                 pi = fit_propensity(x, a, spec, self.config.clip_delta)
             except NotReady:
@@ -245,10 +228,7 @@ class _View:
             fitted_on=self.n_train,
             clip_delta=self.config.clip_delta,
         )
-        if self.config.scoring == "batch":
-            self._rescore_all()
-        else:
-            self._score_pending()
+        self._score_from(0 if self.config.scoring == "batch" else len(self._scores))
 
     # -- evaluation side ----------------------------------------------
     def add_eval(self, z: Observation) -> None:
@@ -264,31 +244,20 @@ class _View:
         # otherwise: batch mode picks it up at the next refit, online mode
         # scores it as soon as a first fit exists
 
-    def _eval_arrays(self):
-        return (
-            np.asarray(self._eval_x),
-            np.asarray(self._eval_a),
-            np.asarray(self._eval_y),
-            np.asarray(self._eval_pi),
-        )
-
-    def _rescore_all(self) -> None:
-        if not self._eval_x:
+    def _score_from(self, start: int) -> None:
+        """Score the stored evaluation records from index ``start`` on under
+        the current fit; any scores they already had are replaced."""
+        if start >= len(self._eval_x):
             return
-        x, a, y, pi = self._eval_arrays()
-        s = _score_batch(x, a, y, pi, self.fit)
-        self._scores = list(s)
-        self._s1 = float(s.sum())
-        self._s2 = float(s @ s)
-
-    def _score_pending(self) -> None:
-        n_pending = len(self._eval_x) - len(self._scores)
-        if n_pending <= 0:
-            return
-        x, a, y, pi = self._eval_arrays()
         s = _score_batch(
-            x[-n_pending:], a[-n_pending:], y[-n_pending:], pi[-n_pending:], self.fit
+            np.asarray(self._eval_x[start:]),
+            np.asarray(self._eval_a[start:]),
+            np.asarray(self._eval_y[start:]),
+            np.asarray(self._eval_pi[start:]),
+            self.fit,
         )
+        if start == 0:
+            self._scores, self._s1, self._s2 = [], 0.0, 0.0
         self._scores.extend(s)
         self._s1 += float(s.sum())
         self._s2 += float(s @ s)
@@ -306,13 +275,6 @@ class _View:
         if not self._scores:
             raise NotReady("no scored evaluation observations yet")
         return self._s1 / len(self._scores)
-
-    def var_hat(self) -> float:
-        n = len(self._scores)
-        if n < 2:
-            raise NotReady("variance undefined with fewer than two scores")
-        m = self._s1 / n
-        return max(self._s2 / n - m * m, 0.0)
 
     def scores(self) -> np.ndarray:
         return np.asarray(self._scores)
@@ -358,39 +320,25 @@ class AteEngine:
 
     # -- interval assembly --------------------------------------------
     def current_point(self) -> CsPoint:
-        if self.config.crossfit:
-            return self.crossfit_estimate()
-        return self._single_point()
-
-    def _single_point(self) -> CsPoint:
-        view = self.views[0]
-        if view.fit is None:
-            raise NotReady("nuisance fit not ready")
-        n = view.n_scored
+        """Mean of the view estimates, with the radius computed at the
+        pooled scored count from the pooled influence variance."""
+        mean_sum = total1 = total2 = 0.0
+        n = 0
+        for view in self.views:
+            if view.fit is None:
+                raise NotReady("nuisance fit not ready")
+            s1, s2, k = view.sums
+            if k == 0:
+                raise NotReady("a view has no scored observations")
+            mean_sum += s1 / k
+            total1 += s1
+            total2 += s2
+            n += k
         if n < max(self.config.t_min, 2):
             raise NotReady("below the warm-up gate")
-        var = view.var_hat()
-        radius = mixture_radius(n, math.sqrt(var), self.config.boundary)
-        return CsPoint.from_radius(self.ledger.t, view.estimate(), radius, var)
-
-    def crossfit_estimate(self) -> CsPoint:
-        """Average of the two view estimates with the radius computed at
-        the pooled scored count from the pooled influence variance."""
-        if not self.config.crossfit:
-            raise DomainError("engine was built without cross-fitting")
-        va, vb = self.views
-        if va.fit is None or vb.fit is None:
-            raise NotReady("nuisance fits not ready in both views")
-        if va.n_scored == 0 or vb.n_scored == 0:
-            raise NotReady("one cross-fit view has no scored observations")
-        s1a, s2a, na = va.sums
-        s1b, s2b, nb = vb.sums
-        n = na + nb
-        if n < max(self.config.t_min, 2):
-            raise NotReady("below the warm-up gate")
-        estimate = 0.5 * (s1a / na + s1b / nb)
-        pooled_mean = (s1a + s1b) / n
-        var = max((s2a + s2b) / n - pooled_mean * pooled_mean, 0.0)
+        estimate = mean_sum / len(self.views)
+        pooled_mean = total1 / n
+        var = max(total2 / n - pooled_mean * pooled_mean, 0.0)
         radius = mixture_radius(n, math.sqrt(var), self.config.boundary)
         return CsPoint.from_radius(self.ledger.t, estimate, radius, var)
 

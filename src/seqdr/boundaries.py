@@ -1,8 +1,8 @@
 """Confidence-sequence radii and tuning of the mixture parameter rho.
 
-All radius computations used by the estimators live here: the normal
-mixture boundary, the iterated-logarithm boundary, the boundary for
-independent but non-identically-distributed streams, a per-coordinate
+All radius computations live here: the normal mixture boundary that
+every estimator uses, two standalone boundaries (iterated logarithm, and
+independent but non-identically-distributed streams), a per-coordinate
 multivariate box, the fixed-time CI comparator, and the closed form of
 the Gaussian mixture martingale (kept as a cross-check oracle).
 """
@@ -35,24 +35,19 @@ __all__ = [
 OMEGA = lambert_w("principal", 1.0)
 SQRT_OMEGA = math.sqrt(OMEGA)
 
-_FAMILIES = ("normal_mixture", "lil", "non_iid")
-
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Confidence level, mixture scale rho, and boundary family."""
+    """Confidence level and mixture scale rho of the normal mixture boundary."""
 
     alpha: float
     rho: float = 1.0
-    family: str = "normal_mixture"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.rho > 0.0:
             raise DomainError(f"rho must be positive, got {self.rho}")
-        if self.family not in _FAMILIES:
-            raise DomainError(f"unknown boundary family: {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +90,13 @@ class MartingaleState:
         return MartingaleState(self.t + 1, self.w + float(g))
 
 
+def _mixture_unit(t: int, v: float, spec: BoundarySpec) -> float:
+    """sqrt( 2a / (t^2 rho^2) * log( sqrt(a) / alpha ) ) with a = t v rho^2 + 1."""
+    rho2 = spec.rho * spec.rho
+    a = t * v * rho2 + 1.0
+    return math.sqrt(2.0 * a / (t * t * rho2) * math.log(math.sqrt(a) / spec.alpha))
+
+
 def mixture_radius(t: int, sigma_hat: float, spec: BoundarySpec) -> float:
     """Normal mixture confidence-sequence radius at time t.
 
@@ -105,11 +107,7 @@ def mixture_radius(t: int, sigma_hat: float, spec: BoundarySpec) -> float:
         raise DomainError(f"t must be >= 1, got {t}")
     if sigma_hat < 0:
         raise DomainError("sigma_hat must be nonnegative")
-    rho2 = spec.rho * spec.rho
-    a = t * rho2 + 1.0
-    return sigma_hat * math.sqrt(
-        2.0 * a / (t * t * rho2) * math.log(math.sqrt(a) / spec.alpha)
-    )
+    return sigma_hat * _mixture_unit(t, 1.0, spec)
 
 
 def lil_radius(t: int, sigma_hat: float, alpha: float) -> float:
@@ -139,11 +137,7 @@ def non_iid_radius(t: int, sigma_bar_sq_hat: float, spec: BoundarySpec) -> float
         raise DomainError(f"t must be >= 1, got {t}")
     if sigma_bar_sq_hat < 0:
         raise DomainError("sigma_bar_sq_hat must be nonnegative")
-    rho2 = spec.rho * spec.rho
-    a = t * sigma_bar_sq_hat * rho2 + 1.0
-    # same arithmetic shape as mixture_radius so the s^2 = 1 reduction is
-    # bit-exact
-    return math.sqrt(2.0 * a / (t * t * rho2) * math.log(math.sqrt(a) / spec.alpha))
+    return _mixture_unit(t, sigma_bar_sq_hat, spec)
 
 
 def multivariate_cs(
@@ -165,7 +159,7 @@ def multivariate_cs(
     d = cov.dim
     if mean.shape != (d,):
         raise DomainError(f"mean has shape {mean.shape}, expected ({d},)")
-    per_coord = BoundarySpec(spec.alpha / d, spec.rho, spec.family)
+    per_coord = BoundarySpec(spec.alpha / d, spec.rho)
     r = np.full(d, mixture_radius(cov.count, 1.0, per_coord))
     root = psd_sqrt(cov.covariance()).entries
     half = np.abs(root) @ r

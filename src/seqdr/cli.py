@@ -3,18 +3,21 @@ and width tables.
 
 Every numeric value is printed with 9 significant digits. The
 ``SEQDR_SEED`` environment variable overrides any ``--seed`` flag.
+Exit codes: 0 on success, 1 when ``monitor`` met malformed rows without
+``--skip-bad``, 2 on a usage, domain or file error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 from .ate import AteEngine, EngineConfig
 from .boundaries import BoundarySpec, tune_rho
 from .io import OUTPUT_HEADER, ParseError, format_row, parse_observation
-from .numerics import DomainError, SeedSpec
+from .numerics import DataError, DomainError, SeedSpec
 from .nuisance import LearnerSpec
 from .simlab import (
     SimScenario,
@@ -135,10 +138,12 @@ def _cmd_monitor(args) -> int:
     )
     engine = AteEngine(config)
 
-    infile = sys.stdin if args.input == "-" else open(args.input)
-    outfile = sys.stdout if args.out == "-" else open(args.out, "w")
     bad = 0
-    try:
+    with contextlib.ExitStack() as stack:
+        infile = (sys.stdin if args.input == "-"
+                  else stack.enter_context(open(args.input)))
+        outfile = (sys.stdout if args.out == "-"
+                   else stack.enter_context(open(args.out, "w")))
         outfile.write(OUTPUT_HEADER + "\n")
         outfile.flush()
         for line_no, line in enumerate(infile, start=1):
@@ -146,18 +151,16 @@ def _cmd_monitor(args) -> int:
                 continue
             try:
                 z = parse_observation(line, args.schema, line_no)
-                row = engine.observe(z)
+                try:
+                    row = engine.observe(z)
+                except DataError as exc:  # raised before any engine state changes
+                    raise ParseError(line_no, str(exc)) from exc
             except ParseError as exc:
                 bad += 1
                 print(str(exc), file=sys.stderr)
                 continue
             outfile.write(format_row(row) + "\n")
             outfile.flush()
-    finally:
-        if infile is not sys.stdin:
-            infile.close()
-        if outfile is not sys.stdout:
-            outfile.close()
     if bad and not args.skip_bad:
         print(f"{bad} malformed row(s)", file=sys.stderr)
         return 1
@@ -241,7 +244,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

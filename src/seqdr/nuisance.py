@@ -10,11 +10,11 @@ always produces the same output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import DomainError, expit
+from .numerics import DomainError
 from .splitting import NotReady
 
 __all__ = [
@@ -31,36 +31,39 @@ _KINDS = ("mean_only", "linear", "logistic", "knn", "spline", "ensemble")
 # knot placement for the spline basis, as quantiles of the training data
 _SPLINE_KNOT_QS = (0.25, 0.5, 0.75)
 
+_RIDGE = 1e-8
+# hinge columns are nearly collinear with x and x^2, so the spline keeps a
+# visible ridge floor
+_SPLINE_RIDGE = 1e-6
+_IRLS_ITERS = 25
+_IRLS_TOL = 1e-8
+# the ensemble needs twice this many rows and fits its candidates on at
+# least this many
+_HOLDOUT_MIN = 5
+_PGD_STEPS = 500
+
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Which learner to fit and its hyperparameters."""
+    """Which learner to fit, and the neighbour count of k-NN."""
 
     kind: str = "ensemble"
     k: int = 10
-    ridge: float = 1e-8
-    irls_iters: int = 25
-    irls_tol: float = 1e-8
-    candidates: tuple["LearnerSpec", ...] | None = None
-    holdout_min: int = 5
-    pgd_steps: int = 500
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown learner kind: {self.kind!r}")
 
     def resolved_candidates(self, task: str) -> tuple["LearnerSpec", ...]:
-        """Candidate list for the ensemble; defaults to a misspecified
-        parametric model next to two flexible nonparametric ones (an
-        additive regression spline and k-nearest-neighbour)."""
-        if self.candidates is not None:
-            return self.candidates
+        """Candidate list for the ensemble: a misspecified parametric model
+        next to two flexible nonparametric ones (an additive regression
+        spline and k-nearest-neighbour)."""
         parametric = "logistic" if task == "propensity" else "linear"
         return (
             LearnerSpec("mean_only"),
-            replace(self, kind=parametric, candidates=None),
-            replace(self, kind="spline", candidates=None),
-            replace(self, kind="knn", candidates=None),
+            replace(self, kind=parametric),
+            replace(self, kind="spline"),
+            replace(self, kind="knn"),
         )
 
 
@@ -196,9 +199,7 @@ def _fit_linear(x: np.ndarray, y: np.ndarray, ridge: float) -> _LinearPredictor:
     return _LinearPredictor(beta[0], beta[1:])
 
 
-def _fit_logistic(
-    x: np.ndarray, labels: np.ndarray, iters: int, tol: float, ridge: float
-) -> _LogisticPredictor:
+def _fit_logistic(x: np.ndarray, labels: np.ndarray, ridge: float) -> _LogisticPredictor:
     """Logistic regression by iteratively reweighted least squares.
 
     The iteration count is capped so separable data cannot diverge; the
@@ -209,7 +210,7 @@ def _fit_logistic(
     xa = np.hstack([np.ones((n, 1)), x])
     y = np.asarray(labels, dtype=float)
     beta = np.zeros(d + 1)
-    for _ in range(iters):
+    for _ in range(_IRLS_ITERS):
         z = np.clip(xa @ beta, -30.0, 30.0)
         p = 1.0 / (1.0 + np.exp(-z))
         w = np.maximum(p * (1.0 - p), 1e-10)
@@ -220,7 +221,7 @@ def _fit_logistic(
         except np.linalg.LinAlgError:
             break
         beta = beta + step
-        if np.abs(step).max() < tol:
+        if np.abs(step).max() < _IRLS_TOL:
             break
     return _LogisticPredictor(beta[0], beta[1:])
 
@@ -236,7 +237,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _tune_weights(
-    preds: np.ndarray, target: np.ndarray, loss: str, delta: float, steps: int
+    preds: np.ndarray, target: np.ndarray, loss: str, delta: float
 ) -> np.ndarray:
     """Simplex-constrained weights minimizing holdout loss by projected
     gradient descent, started from the best single candidate so the
@@ -275,7 +276,7 @@ def _tune_weights(
         return w
     step = 1.0 / lip
     best_w, best_l = w.copy(), loss_fn(w)
-    for _ in range(steps):
+    for _ in range(_PGD_STEPS):
         w = project_simplex(w - step * grad_fn(w))
         cur = loss_fn(w)
         if cur < best_l:
@@ -289,11 +290,11 @@ def _fit_single(
     if spec.kind == "mean_only":
         return _MeanPredictor(float(np.mean(y)))
     if spec.kind == "linear":
-        return _fit_linear(x, y, spec.ridge)
+        return _fit_linear(x, y, _RIDGE)
     if spec.kind == "knn":
         return _KnnPredictor(_as_matrix(x), y, spec.k)
     if spec.kind == "logistic":
-        return _fit_logistic(x, y, spec.irls_iters, spec.irls_tol, spec.ridge)
+        return _fit_logistic(x, y, _RIDGE)
     if spec.kind == "spline":
         xm = _as_matrix(x)
         knots = np.quantile(xm, _SPLINE_KNOT_QS, axis=0).T
@@ -303,13 +304,10 @@ def _fit_single(
         # column before trusting it
         if xb.shape[0] < 4 * xb.shape[1]:
             raise NotReady("spline basis needs more rows than available")
-        # hinge columns are nearly collinear with x and x^2, so keep a
-        # visible ridge floor
-        ridge = max(spec.ridge, 1e-6)
         if task == "propensity":
-            inner = _fit_logistic(xb, y, spec.irls_iters, spec.irls_tol, ridge)
+            inner = _fit_logistic(xb, y, _SPLINE_RIDGE)
         else:
-            inner = _fit_linear(xb, y, ridge)
+            inner = _fit_linear(xb, y, _SPLINE_RIDGE)
         return _BasisPredictor(basis, inner)
     raise DomainError(f"{spec.kind!r} is not a base learner")
 
@@ -320,7 +318,7 @@ def fit_outcome(x: np.ndarray, y: np.ndarray, spec: LearnerSpec):
     if y.size == 0:
         raise NotReady("no training observations in this arm")
     if spec.kind == "ensemble":
-        return fit_ensemble(x, y, spec.resolved_candidates("outcome"), spec, "outcome")[0]
+        return fit_ensemble(x, y, spec.resolved_candidates("outcome"), "outcome")[0]
     if spec.kind == "logistic":
         raise DomainError("logistic is a propensity learner, not a regression")
     return _fit_single(x, y, spec, "outcome")
@@ -334,9 +332,8 @@ def fit_propensity(
     if labels.size == 0 or labels.min() == labels.max():
         raise NotReady("propensity fitting needs both treatment labels")
     if spec.kind == "ensemble":
-        inner = fit_ensemble(
-            x, labels, spec.resolved_candidates("propensity"), spec, "propensity"
-        )[0]
+        candidates = spec.resolved_candidates("propensity")
+        inner = fit_ensemble(x, labels, candidates, "propensity")[0]
     elif spec.kind == "linear":
         raise DomainError("linear is a regression learner, not a propensity model")
     else:
@@ -348,7 +345,6 @@ def fit_ensemble(
     x: np.ndarray,
     y: np.ndarray,
     candidates: tuple[LearnerSpec, ...],
-    spec: LearnerSpec | None = None,
     task: str = "outcome",
 ):
     """Simplex-weighted stack of candidate learners.
@@ -363,17 +359,16 @@ def fit_ensemble(
     """
     if len(candidates) < 1:
         raise DomainError("ensemble needs at least one candidate")
-    spec = spec or LearnerSpec()
     x = _as_matrix(x)
     y = np.asarray(y, dtype=float)
     n = y.size
-    if n < 2 * spec.holdout_min:
-        raise NotReady(f"ensemble needs at least {2 * spec.holdout_min} rows")
+    if n < 2 * _HOLDOUT_MIN:
+        raise NotReady(f"ensemble needs at least {2 * _HOLDOUT_MIN} rows")
     if len(candidates) == 1:
         pred = _fit_single(x, y, candidates[0], task)
         return _StackedPredictor([pred], np.ones(1)), np.ones(1)
 
-    split = max(spec.holdout_min, int(math.floor(0.8 * n)))
+    split = max(_HOLDOUT_MIN, int(math.floor(0.8 * n)))
     split = min(split, n - 1)
     x_fit, y_fit = x[:split], y[:split]
     x_val, y_val = x[split:], y[split:]
@@ -391,7 +386,5 @@ def fit_ensemble(
 
     loss = "log" if task == "propensity" else "squared"
     delta = 1e-3
-    weights = _tune_weights(
-        np.column_stack(fold_cols), y_val, loss, delta, spec.pgd_steps
-    )
+    weights = _tune_weights(np.column_stack(fold_cols), y_val, loss, delta)
     return _StackedPredictor(fold_preds, weights), weights

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .ate import (
     UnadjustedEstimator,
 )
 from .boundaries import BoundarySpec, fixed_ci_radius, mixture_radius, tune_rho
-from .numerics import DomainError, SeedSpec, expit
+from .numerics import DomainError, SeedSpec
 
 __all__ = [
     "SimScenario",
@@ -32,7 +32,6 @@ __all__ = [
     "RepSummary",
     "mu_star",
     "observational_propensity",
-    "generate",
     "generate_stream",
     "run_miscoverage",
     "run_ate_miscoverage",
@@ -50,21 +49,18 @@ _SPLIT_STREAM = 2_000_000
 
 @dataclass(frozen=True)
 class SimScenario:
-    """One simulation setting: process kind, horizon, target value, noise."""
+    """One simulation setting: process kind, horizon, target value, seed;
+    ``gaussian_mean`` is the mean of the unit-variance Gaussian stream."""
 
     kind: str
     n: int = 4000
     psi_true: float = 1.0
-    noise: str = "t5"
     seed: SeedSpec = field(default_factory=lambda: SeedSpec(0))
     gaussian_mean: float = 0.4
-    gaussian_sd: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown scenario kind: {self.kind!r}")
-        if self.noise not in ("t5", "normal"):
-            raise DomainError(f"unknown noise kind: {self.noise!r}")
 
 
 @dataclass
@@ -120,18 +116,15 @@ class RepSummary:
     n_emitted: int
 
 
-def mu_star(x1: float, x2: float, x3: float) -> float:
-    """Regression surface of the simulated experiments."""
-    return 1.0 - x1 * x1 - 2.0 * math.sin(x2) + 3.0 * abs(x3)
+def mu_star(x1, x2, x3):
+    """Regression surface of the simulated experiments, elementwise over
+    scalars or arrays."""
+    return 1.0 - x1 * x1 - 2.0 * np.sin(x2) + 3.0 * np.abs(x3)
 
 
-def _mu_star_vec(x: np.ndarray) -> np.ndarray:
-    return 1.0 - x[:, 0] ** 2 - 2.0 * np.sin(x[:, 1]) + 3.0 * np.abs(x[:, 2])
-
-
-def observational_propensity(x1: float, x2: float, x3: float) -> float:
+def observational_propensity(x1, x2, x3):
     """Treatment probability 0.2 + 0.6 * expit(mu_star), inside [0.2, 0.8]."""
-    return 0.2 + 0.6 * expit(mu_star(x1, x2, x3))
+    return 0.2 + 0.6 / (1.0 + np.exp(-mu_star(x1, x2, x3)))
 
 
 def _t5_noise(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -139,29 +132,6 @@ def _t5_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.standard_normal(n)
     v = rng.standard_normal((n, 5))
     return z / np.sqrt((v * v).sum(axis=1) / 5.0)
-
-
-def generate(scenario: SimScenario, i: int) -> Observation:
-    """The i-th observation of a scenario, deterministic given (seed, i)."""
-    if i < 1:
-        raise DomainError(f"index must be >= 1, got {i}")
-    if scenario.kind == "gaussian_mean":
-        raise DomainError("gaussian_mean streams carry no subject records")
-    rng = scenario.seed.substream(i)
-    x = rng.standard_normal(3)
-    mu = mu_star(*x)
-    if scenario.kind == "randomized_ate":
-        pi = 0.5
-        known = 0.5
-    else:
-        pi = observational_propensity(*x)
-        known = None
-    a = int(rng.random() < pi)
-    eps = float(_t5_noise(rng, 1)[0]) if scenario.noise == "t5" else float(
-        rng.standard_normal()
-    )
-    y = mu + scenario.psi_true * a + eps
-    return Observation(x=x, a=a, y=y, known_pi=known)
 
 
 def generate_stream(scenario: SimScenario, rep: int = 0):
@@ -173,19 +143,18 @@ def generate_stream(scenario: SimScenario, rep: int = 0):
     rng = SeedSpec(scenario.seed.master_seed, _DATA_STREAM + rep).rng()
     n = scenario.n
     if scenario.kind == "gaussian_mean":
-        y = scenario.gaussian_mean + scenario.gaussian_sd * rng.standard_normal(n)
+        y = scenario.gaussian_mean + rng.standard_normal(n)
         return None, None, y, None
     x = rng.standard_normal((n, 3))
-    mu = _mu_star_vec(x)
+    x1, x2, x3 = x.T
     if scenario.kind == "randomized_ate":
         pi = np.full(n, 0.5)
         known = pi
     else:
-        pi = 0.2 + 0.6 / (1.0 + np.exp(-mu))
+        pi = observational_propensity(x1, x2, x3)
         known = None
     a = (rng.random(n) < pi).astype(int)
-    eps = _t5_noise(rng, n) if scenario.noise == "t5" else rng.standard_normal(n)
-    y = mu + scenario.psi_true * a + eps
+    y = mu_star(x1, x2, x3) + scenario.psi_true * a + _t5_noise(rng, n)
     return x, a, y, known
 
 
@@ -225,9 +194,7 @@ def run_miscoverage(
     sd_hat = np.sqrt(var_hat)
 
     if comparator == "cs":
-        rho2 = rho * rho
-        a = t * rho2 + 1.0
-        unit = np.sqrt(2.0 * a / (t * t * rho2) * np.log(np.sqrt(a) / alpha))
+        unit = np.array([mixture_radius(k, 1.0, spec) for k in range(1, n + 1)])
     elif comparator == "ci":
         unit = fixed_ci_radius(1, 1.0, alpha) / np.sqrt(t)
     else:
@@ -250,22 +217,8 @@ def run_miscoverage(
 def _run_engine_rep(scenario: SimScenario, config: EngineConfig, rep: int):
     """One replication of a DR engine over a generated stream."""
     x, a, y, known = generate_stream(scenario, rep)
-    cfg_seed = SeedSpec(scenario.seed.master_seed, _SPLIT_STREAM + rep)
-    engine = AteEngine(
-        EngineConfig(
-            boundary=config.boundary,
-            mode=config.mode,
-            learner=config.learner,
-            crossfit=config.crossfit,
-            scoring=config.scoring,
-            refit_schedule=config.refit_schedule,
-            t_min=config.t_min,
-            clip_delta=config.clip_delta,
-            split=config.split,
-            seed=cfg_seed,
-            cold_start_min=config.cold_start_min,
-        )
-    )
+    seed = SeedSpec(scenario.seed.master_seed, _SPLIT_STREAM + rep)
+    engine = AteEngine(replace(config, seed=seed))
     rows = []
     for i in range(scenario.n):
         z = Observation(

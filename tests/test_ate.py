@@ -112,9 +112,9 @@ class TestAteEngine:
         # records directly to keep the engineered fit in place
         view.add_eval(m1)
         view.add_eval(m2)
-        assert view.estimate() == pytest.approx(2.0)
-        assert view.var_hat() == pytest.approx(1.0)
-        point = engine._single_point()
+        point = engine.current_point()
+        assert point.estimate == pytest.approx(2.0)
+        assert point.var_hat == pytest.approx(1.0)
         assert point.radius == pytest.approx(mixture_radius(2, 1.0, spec))
 
     def test_crossfit_identity(self):
@@ -158,8 +158,9 @@ class TestAteEngine:
         feed(engine, rng, 120)
         view = engine.views[0]
         from seqdr.ate import _score_batch
-        x, a, y, pi = view._eval_arrays()
-        fresh = _score_batch(x, a, y, pi, view.fit)
+        fresh = _score_batch(np.asarray(view._eval_x), np.asarray(view._eval_a),
+                             np.asarray(view._eval_y), np.asarray(view._eval_pi),
+                             view.fit)
         assert np.allclose(view.scores(), fresh, atol=1e-12)
 
     def test_online_scores_frozen(self):
@@ -256,7 +257,7 @@ class TestGeneralCs:
         rows = feed(engine, rng, 200)
         view = engine.views[0]
         wrapped = list(general_cs(view.scores(), cfg.boundary, t_min=1))
-        point = engine._single_point()
+        point = engine.current_point()
         assert wrapped[-1].estimate == pytest.approx(point.estimate, abs=1e-12)
         assert wrapped[-1].radius == pytest.approx(point.radius, abs=1e-12)
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from seqdr.ate import Observation
 from seqdr.cli import main
 from seqdr.io import (
     OUTPUT_HEADER,
@@ -13,6 +14,8 @@ from seqdr.io import (
     parse_observation,
     serialize_observation,
 )
+from seqdr.numerics import SeedSpec
+from seqdr.simlab import SimScenario, generate_stream
 
 
 class TestParseObservation:
@@ -101,26 +104,59 @@ class TestMonitorCommand:
 
     def test_malformed_row_exit_code(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
+        # line 4 lacks the known propensity that randomized mode requires
         with open(inp, "w") as fh:
-            fh.write("0.1,1,0.7,0.5\nnot,a,row\n0.2,0,0.3,0.5\n")
+            fh.write("0.1,1,0.7,0.5\nnot,a,row\n0.2,0,0.3,0.5\n0.3,1,0.5\n")
         out = tmp_path / "out.csv"
         code = main(["monitor", "--alpha", "0.1", "--rho", "0.3",
                      "--input", str(inp), "--schema", "d=1",
                      "--out", str(out)])
-        assert code != 0
+        assert code == 1
         err = capsys.readouterr().err
-        assert "line 2" in err
+        assert "line 2" in err and "line 4" in err
+        assert "2 malformed row(s)" in err
         # good rows were still processed
         assert len(out.read_text().splitlines()) == 3
 
     def test_skip_bad(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
         with open(inp, "w") as fh:
-            fh.write("0.1,1,0.7,0.5\nbroken\n0.2,0,0.3,0.5\n")
+            fh.write("0.1,1,0.7,0.5\nbroken\n0.3,1,0.5\n0.2,0,0.3,0.5\n")
+        out = tmp_path / "o.csv"
         code = main(["monitor", "--alpha", "0.1", "--rho", "0.3",
                      "--skip-bad", "--input", str(inp), "--schema", "d=1",
-                     "--out", str(tmp_path / "o.csv")])
+                     "--out", str(out)])
         assert code == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_unopenable_files_exit_2(self, tmp_path, capsys):
+        inp = tmp_path / "in.csv"
+        inp.write_text("0.1,1,0.7,0.5\n")
+        for i, o in ((tmp_path / "missing.csv", tmp_path / "o.csv"),
+                     (inp, tmp_path / "no_dir" / "o.csv")):
+            code = main(["monitor", "--alpha", "0.1", "--rho", "0.3",
+                         "--input", str(i), "--schema", "d=1", "--out", str(o)])
+            assert code == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_observational_linear(self, tmp_path):
+        # linear regression for the outcomes, logistic for the propensity;
+        # no coverage claim, both are misspecified for this process
+        x, a, y, _ = generate_stream(
+            SimScenario(kind="observational_ate", n=200, seed=SeedSpec(7)))
+        inp = tmp_path / "in.csv"
+        inp.write_text("".join(
+            serialize_observation(Observation(x=x[i], a=int(a[i]), y=float(y[i])))
+            + "\n" for i in range(200)))
+        out = tmp_path / "out.csv"
+        code = main(["monitor", "--alpha", "0.1", "--opt-t", "125",
+                     "--mode", "observational", "--learner", "linear",
+                     "--crossfit", "--input", str(inp), "--schema", "d=3",
+                     "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 200 and rows[-1].endswith(",ok")
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         inp = tmp_path / "in.csv"

@@ -171,8 +171,8 @@ class TestFitEnsemble:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((200, 2))
         y = x[:, 0] + rng.standard_normal(200)
-        spec = LearnerSpec("ensemble")
-        pred, w = fit_ensemble(x, y, spec.resolved_candidates("outcome"), spec)
+        cands = LearnerSpec("ensemble").resolved_candidates("outcome")
+        pred, w = fit_ensemble(x, y, cands)
         assert w.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.all(w >= -1e-10)
 
@@ -181,9 +181,8 @@ class TestFitEnsemble:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((400, 3))
         y = 1.0 - x[:, 0] ** 2 + 0.5 * rng.standard_normal(400)
-        spec = LearnerSpec("ensemble")
-        cands = spec.resolved_candidates("outcome")
-        pred, w = fit_ensemble(x, y, cands, spec)
+        cands = LearnerSpec("ensemble").resolved_candidates("outcome")
+        pred, w = fit_ensemble(x, y, cands)
         n = y.size
         split = int(np.floor(0.8 * n))
         x_fit, y_fit = x[:split], y[:split]
@@ -200,10 +199,9 @@ class TestFitEnsemble:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((500, 2))
         y = 2.0 * x[:, 0] - x[:, 1] + 0.01 * rng.standard_normal(500)
-        spec = LearnerSpec("ensemble")
         cands = (LearnerSpec("mean_only"), LearnerSpec("linear"),
                  LearnerSpec("knn"))
-        _, w = fit_ensemble(x, y, cands, spec)
+        _, w = fit_ensemble(x, y, cands)
         assert w[1] > 0.9  # (mean_only, linear, knn) candidate order
 
     def test_default_candidates_include_spline(self):

@@ -13,7 +13,6 @@ from seqdr.nuisance import LearnerSpec
 from seqdr.simlab import (
     SimScenario,
     ate_report,
-    generate,
     generate_stream,
     mu_star,
     observational_propensity,
@@ -44,30 +43,6 @@ class TestMuStar:
 
 
 class TestGenerate:
-    def test_deterministic(self):
-        sc = SimScenario(kind="randomized_ate", seed=SeedSpec(1))
-        a = generate(sc, 5)
-        b = generate(sc, 5)
-        assert np.array_equal(a.x, b.x)
-        assert (a.a, a.y) == (b.a, b.y)
-
-    def test_randomized_known_pi(self):
-        sc = SimScenario(kind="randomized_ate", seed=SeedSpec(1))
-        z = generate(sc, 1)
-        assert z.known_pi == 0.5
-
-    def test_observational_no_known_pi(self):
-        sc = SimScenario(kind="observational_ate", seed=SeedSpec(1))
-        assert generate(sc, 1).known_pi is None
-
-    def test_gaussian_has_no_records(self):
-        with pytest.raises(DomainError):
-            generate(SimScenario(kind="gaussian_mean"), 1)
-
-    def test_bad_index(self):
-        with pytest.raises(DomainError):
-            generate(SimScenario(kind="randomized_ate"), 0)
-
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             SimScenario(kind="bootstrap")
@@ -75,12 +50,17 @@ class TestGenerate:
 
 class TestGenerateStream:
     def test_shapes_and_determinism(self):
-        sc = SimScenario(kind="randomized_ate", n=300, seed=SeedSpec(2))
-        x, a, y, known = generate_stream(sc, rep=0)
-        x2, a2, y2, _ = generate_stream(sc, rep=0)
-        assert x.shape == (300, 3) and a.shape == y.shape == (300,)
-        assert np.array_equal(x, x2) and np.array_equal(y, y2)
-        assert np.all(known == 0.5)
+        for kind in ("randomized_ate", "observational_ate"):
+            sc = SimScenario(kind=kind, n=300, seed=SeedSpec(2))
+            x, a, y, known = generate_stream(sc, rep=0)
+            x2, a2, y2, _ = generate_stream(sc, rep=0)
+            assert x.shape == (300, 3) and a.shape == y.shape == (300,)
+            assert np.array_equal(x, x2) and np.array_equal(y, y2)
+            assert np.array_equal(a, a2)
+            if kind == "randomized_ate":
+                assert np.all(known == 0.5)
+            else:
+                assert known is None
 
     def test_reps_differ(self):
         sc = SimScenario(kind="randomized_ate", n=100, seed=SeedSpec(2))
@@ -134,6 +114,13 @@ class TestRunMiscoverage:
             rep.to_csv(p)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
+        # one replication: the width is 2 sd_t times the mixture radius at t
+        spec = BoundarySpec(0.1, tune_rho(0.1, 5 * 25, "exact"))
+        _, _, y, _ = generate_stream(sc, 0)
+        for t in (2, 25, 137, 500):
+            sd = math.sqrt(max(np.mean(y[:t] ** 2) - np.mean(y[:t]) ** 2, 0.0))
+            want = 2.0 * sd * mixture_radius(t, 1.0, spec)
+            assert rep.mean_width_by_t[t - 1] == pytest.approx(want, rel=1e-12)
 
     def test_coverage_sane(self):
         sc = SimScenario(kind="gaussian_mean", n=1000, seed=SeedSpec(7))
