@@ -103,6 +103,20 @@ def _score_batch(
     return (m1 - m0) + weight * resid
 
 
+def _columns(
+    rows: list[Observation],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``x, a, y, pi`` arrays of stored records; ``pi`` is NaN where
+    the propensity is unknown."""
+    return (
+        # faster than np.asarray on a list of small arrays
+        np.concatenate([z.x for z in rows]).reshape(len(rows), -1),
+        np.asarray([z.a for z in rows]),
+        np.asarray([z.y for z in rows]),
+        np.asarray([math.nan if z.known_pi is None else z.known_pi for z in rows]),
+    )
+
+
 def default_boundary(alpha: float, t_min: int = 25) -> BoundarySpec:
     """Boundary with rho optimized for five times the warm-up gate."""
     return BoundarySpec(alpha, tune_rho(alpha, 5 * t_min, "exact"))
@@ -148,43 +162,32 @@ class EmitRow:
 class _View:
     """One direction of the sample split: fit on one group, score the other.
 
-    Batch scoring keeps all scored values aligned with the latest fit by
-    re-scoring the stored records whenever the nuisances are refit;
-    online scoring freezes each record's value at first scoring.
+    ``train`` and ``evals`` are the engine's lists of the two split
+    groups, shared with the other view (which reads them the other way
+    round). Batch scoring keeps all scored values aligned with the latest
+    fit by re-scoring the stored records whenever the nuisances are
+    refit; online scoring freezes each record's value at first scoring.
     """
 
-    def __init__(self, fit_group: str, config: EngineConfig):
-        self.fit_group = fit_group
+    def __init__(
+        self, train: list[Observation], evals: list[Observation], config: EngineConfig
+    ):
+        self.train = train
+        self.evals = evals
         self.config = config
         self.fit: NuisanceFit | None = None
-        self.n_train = 0
-        self._train_x: list[np.ndarray] = []
-        self._train_a: list[int] = []
-        self._train_y: list[float] = []
-        self._eval_x: list[np.ndarray] = []
-        self._eval_a: list[int] = []
-        self._eval_y: list[float] = []
-        self._eval_pi: list[float] = []
         self._scores: list[float] = []
         self._s1 = 0.0
         self._s2 = 0.0
 
     # -- training side -------------------------------------------------
-    def add_train(self, z: Observation) -> None:
-        self._train_x.append(z.x)
-        self._train_a.append(z.a)
-        self._train_y.append(z.y)
-        self.n_train += 1
-        if self._should_refit():
+    def refit_if_due(self) -> None:
+        """Called after a record joined ``train``."""
+        n = len(self.train)
+        # until the first usable fit, keep trying; then at powers of two
+        if (self.config.refit_schedule == "every" or self.fit is None
+                or n & (n - 1) == 0):
             self._refit()
-
-    def _should_refit(self) -> bool:
-        if self.config.refit_schedule == "every":
-            return True
-        if self.fit is None:
-            return True  # keep trying until the first usable fit
-        n = self.n_train
-        return n & (n - 1) == 0  # powers of two
 
     def _arm_learner(self, n_arm: int) -> LearnerSpec:
         if n_arm < _COLD_START_MIN:
@@ -192,11 +195,9 @@ class _View:
         return self.config.learner
 
     def _refit(self) -> None:
-        a = np.asarray(self._train_a)
-        if a.size == 0 or a.min() == a.max():
+        x, a, y, _ = _columns(self.train)
+        if a.min() == a.max():
             return  # an arm is still empty
-        x = np.asarray(self._train_x)
-        y = np.asarray(self._train_y)
         x1, y1 = x[a == 1], y[a == 1]
         x0, y0 = x[a == 0], y[a == 0]
         try:
@@ -215,27 +216,19 @@ class _View:
             try:
                 pi = fit_propensity(x, a, spec, self.config.clip_delta)
             except NotReady:
-                try:
-                    pi = fit_propensity(
-                        x, a, LearnerSpec("mean_only"), self.config.clip_delta
-                    )
-                except NotReady:
-                    return
+                pi = fit_propensity(x, a, LearnerSpec("mean_only"), self.config.clip_delta)
         self.fit = NuisanceFit(
             mu1=mu1,
             mu0=mu0,
             pi=pi,
-            fitted_on=self.n_train,
+            fitted_on=a.size,
             clip_delta=self.config.clip_delta,
         )
         self._score_from(0 if self.config.scoring == "batch" else len(self._scores))
 
     # -- evaluation side ----------------------------------------------
-    def add_eval(self, z: Observation) -> None:
-        self._eval_x.append(z.x)
-        self._eval_a.append(z.a)
-        self._eval_y.append(z.y)
-        self._eval_pi.append(z.known_pi if z.known_pi is not None else 0.5)
+    def score_arrival(self, z: Observation) -> None:
+        """Called after ``z`` joined ``evals``."""
         if self.fit is not None:
             s = eval_influence(z, self.fit)
             self._scores.append(s)
@@ -247,15 +240,9 @@ class _View:
     def _score_from(self, start: int) -> None:
         """Score the stored evaluation records from index ``start`` on under
         the current fit; any scores they already had are replaced."""
-        if start >= len(self._eval_x):
+        if start >= len(self.evals):
             return
-        s = _score_batch(
-            np.asarray(self._eval_x[start:]),
-            np.asarray(self._eval_a[start:]),
-            np.asarray(self._eval_y[start:]),
-            np.asarray(self._eval_pi[start:]),
-            self.fit,
-        )
+        s = _score_batch(*_columns(self.evals[start:]), self.fit)
         if start == 0:
             self._scores, self._s1, self._s2 = [], 0.0, 0.0
         self._scores.extend(s)
@@ -291,19 +278,28 @@ class AteEngine:
     def __init__(self, config: EngineConfig):
         self.config = config
         self.ledger = SplitLedger(config.seed)
-        self.views = [_View(TRAIN, config)]
+        # each arrival is stored once, in the list of its split group
+        self.rows: dict[str, list[Observation]] = {TRAIN: [], EVAL: []}
+        self.views = [_View(self.rows[TRAIN], self.rows[EVAL], config)]
         if config.crossfit:
-            self.views.append(_View(EVAL, config))
+            self.views.append(_View(self.rows[EVAL], self.rows[TRAIN], config))
+        self.dim: int | None = None  # covariate count, fixed by the first arrival
 
     def observe(self, z: Observation) -> EmitRow:
+        # reject bad records before any state changes
         if self.config.mode == RANDOMIZED and z.known_pi is None:
             raise DataError("randomized mode requires a known propensity")
-        group = self.ledger.assign(self.config.split)
+        if self.dim is None:
+            self.dim = z.x.size
+        elif z.x.size != self.dim:
+            raise DataError(f"expected {self.dim} covariates, got {z.x.size}")
+        rows = self.rows[self.ledger.assign(self.config.split)]
+        rows.append(z)
         for view in self.views:
-            if group == view.fit_group:
-                view.add_train(z)
+            if view.train is rows:
+                view.refit_if_due()
             else:
-                view.add_eval(z)
+                view.score_arrival(z)
         try:
             point = self.current_point()
             status = "ok"

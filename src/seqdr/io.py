@@ -9,7 +9,6 @@ declared up front) or JSON lines (`{"x": [...], "a": 0|1, "y": ...,
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -93,11 +92,9 @@ def format_row(row: EmitRow) -> str:
     """One output CSV line for an engine emission."""
     if row.point is None:
         body = ",,,,"
-        status = row.status
     else:
         p = row.point
         body = "%.9g,%.9g,%.9g,%.9g,%.9g" % (
             p.estimate, p.lower, p.upper, p.radius, p.var_hat,
         )
-        status = row.status
-    return "%d,%d,%d,%s,%s" % (row.t, row.t_eval, row.t_train, body, status)
+    return "%d,%d,%d,%s,%s" % (row.t, row.t_eval, row.t_train, body, row.status)

@@ -9,7 +9,7 @@ package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,13 +51,6 @@ class SeedSpec:
 
     def rng(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.PCG64(seq))
-
-    def substream(self, index: int) -> np.random.Generator:
-        """RNG for a sub-index of this stream, e.g. one replication."""
-        seq = np.random.SeedSequence(
-            self.master_seed, spawn_key=(self.stream_id, index)
-        )
         return np.random.Generator(np.random.PCG64(seq))
 
 

@@ -8,7 +8,7 @@ audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .numerics import DomainError, SeedSpec
 
@@ -66,18 +66,3 @@ class SplitLedger:
         self.assignment_log.append(group)
         assert self.t_eval + self.t_train == self.t
         return group
-
-    def crossfit_views(self) -> tuple[tuple[str, str], tuple[str, str]]:
-        """The two cross-fit views as (fit_on, score_on) split labels.
-
-        The primary view fits on the training split and scores the
-        evaluation split; the swapped view does the opposite. Together
-        the two scoring sets partition all t observations.
-        """
-        if self.t_train == 0 or self.t_eval == 0:
-            raise NotReady("both splits must be nonempty to cross-fit")
-        return (TRAIN, EVAL), (EVAL, TRAIN)
-
-    def indices(self, group: str) -> list[int]:
-        """0-based arrival indices routed to ``group``."""
-        return [i for i, g in enumerate(self.assignment_log) if g == group]

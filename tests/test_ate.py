@@ -11,13 +11,15 @@ from seqdr.ate import (
     EngineConfig,
     Observation,
     UnadjustedEstimator,
+    _columns,
+    _score_batch,
     eval_influence,
     general_cs,
 )
 from seqdr.boundaries import BoundarySpec, mixture_radius
 from seqdr.numerics import DataError, DomainError, SeedSpec
 from seqdr.nuisance import LearnerSpec, NuisanceFit
-from seqdr.splitting import SplitMode
+from seqdr.splitting import EVAL, TRAIN, NotReady, SplitMode
 
 
 def const_fit(m1, m0, pi=None, delta=0.01):
@@ -110,8 +112,9 @@ class TestAteEngine:
         m2 = Observation(x=np.zeros(1), a=0, y=1.0, known_pi=0.5)  # f = 1
         # arrivals 3 and 4 go train, eval under alternation; push the eval
         # records directly to keep the engineered fit in place
-        view.add_eval(m1)
-        view.add_eval(m2)
+        for z in (m1, m2):
+            view.evals.append(z)
+            view.score_arrival(z)
         point = engine.current_point()
         assert point.estimate == pytest.approx(2.0)
         assert point.var_hat == pytest.approx(1.0)
@@ -146,6 +149,55 @@ class TestAteEngine:
         va, vb = engine.views
         assert va.n_scored + vb.n_scored == 200
 
+    def test_crossfit_views_share_rows(self):
+        # one list per split group: each view scores the list the other
+        # trains on, and together they hold every arrival exactly once
+        cfg = EngineConfig(boundary=BoundarySpec(0.1, 0.3), crossfit=True,
+                           t_min=10, learner=LearnerSpec("mean_only"),
+                           seed=SeedSpec(11))
+        engine = AteEngine(cfg)
+        va, vb = engine.views
+        assert va.train is engine.rows[TRAIN] and va.evals is engine.rows[EVAL]
+        assert va.evals is vb.train and va.train is vb.evals
+        zs = [Observation(x=np.array([float(i)]), a=i % 2, y=0.0, known_pi=0.5)
+              for i in range(1000)]
+        for z in zs:
+            engine.observe(z)
+        ledger = engine.ledger
+        assert len(engine.rows[TRAIN]) == ledger.t_train
+        assert len(engine.rows[EVAL]) == ledger.t_eval
+        for group in (TRAIN, EVAL):
+            routed = [z for z, g in zip(zs, ledger.assignment_log) if g == group]
+            assert all(u is v for u, v in zip(engine.rows[group], routed))
+
+    def test_not_ready_until_both_groups_filled(self):
+        cfg = EngineConfig(boundary=BoundarySpec(0.1, 0.3), crossfit=True,
+                           t_min=1, learner=LearnerSpec("mean_only"),
+                           split=SplitMode("alternating"))
+        engine = AteEngine(cfg)
+        row = engine.observe(Observation(x=np.zeros(1), a=1, y=0.0, known_pi=0.5))
+        assert row.status == "not_ready"  # only the train group has a record
+        with pytest.raises(NotReady):
+            engine.current_point()
+
+    def test_covariate_dimension_fixed_by_first_row(self):
+        cfg = EngineConfig(boundary=BoundarySpec(0.1, 0.3), crossfit=True,
+                           learner=LearnerSpec("linear"), seed=SeedSpec(13))
+        engine = AteEngine(cfg)
+        rng = np.random.default_rng(14)
+
+        def z(d):
+            return Observation(x=rng.standard_normal(d), a=int(rng.random() < 0.5),
+                               y=float(rng.standard_normal()), known_pi=0.5)
+
+        for _ in range(149):
+            engine.observe(z(3))
+        with pytest.raises(DataError, match="expected 3 covariates, got 2"):
+            engine.observe(z(2))
+        assert engine.ledger.t == 149
+        assert len(engine.rows[TRAIN]) + len(engine.rows[EVAL]) == 149
+        assert engine.observe(z(3)).t == 150
+
     def test_batch_scoring_uses_latest_fit(self):
         # with batch scoring and refit on every arrival, the stored scores
         # must equal re-scoring everything under the final fit
@@ -157,10 +209,7 @@ class TestAteEngine:
         rng = np.random.default_rng(8)
         feed(engine, rng, 120)
         view = engine.views[0]
-        from seqdr.ate import _score_batch
-        fresh = _score_batch(np.asarray(view._eval_x), np.asarray(view._eval_a),
-                             np.asarray(view._eval_y), np.asarray(view._eval_pi),
-                             view.fit)
+        fresh = _score_batch(*_columns(view.evals), view.fit)
         assert np.allclose(view.scores(), fresh, atol=1e-12)
 
     def test_online_scores_frozen(self):

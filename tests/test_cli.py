@@ -10,7 +10,6 @@ from seqdr.cli import main
 from seqdr.io import (
     OUTPUT_HEADER,
     ParseError,
-    format_row,
     parse_observation,
     serialize_observation,
 )

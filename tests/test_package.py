@@ -1,7 +1,9 @@
-"""Package surface: exported names exist, and the package re-exports only
-what its submodules export."""
+"""Package surface: exported names exist, the package re-exports only
+what its submodules export, and no module imports a name it never uses."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import seqdr
@@ -22,3 +24,31 @@ def test_package_reexports_submodule_exports():
     for name in seqdr.__all__:
         assert name in exported, name
         assert getattr(seqdr, name) is exported[name], name
+
+
+def _unused_imports(path):
+    """(line, name) of each imported name that the module neither uses nor
+    lists in ``__all__``; ``from __future__`` imports are exempt."""
+    imported, used = {}, set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [(line, name) for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [*sorted((root / "src" / "seqdr").glob("*.py")),
+             *sorted((root / "tests").glob("*.py"))]
+    unused = [f"{path.relative_to(root)}:{line}: {name}"
+              for path in files for line, name in _unused_imports(path)]
+    assert not unused, "\n".join(unused)

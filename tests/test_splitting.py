@@ -1,9 +1,9 @@
-"""Sequential sample splitting: routing, determinism, cross-fit views."""
+"""Sequential sample splitting: routing, determinism, counts."""
 
 import pytest
 
 from seqdr.numerics import DomainError, SeedSpec
-from seqdr.splitting import EVAL, TRAIN, NotReady, SplitLedger, SplitMode
+from seqdr.splitting import EVAL, TRAIN, SplitLedger, SplitMode
 
 
 class TestSplitMode:
@@ -47,36 +47,5 @@ class TestBernoulliHalf:
         for _ in range(1000):
             ledger.assign(mode)
         assert ledger.t_eval + ledger.t_train == ledger.t == 1000
-        assert len(ledger.indices(TRAIN)) == ledger.t_train
-        assert len(ledger.indices(EVAL)) == ledger.t_eval
-
-
-class TestCrossfitViews:
-    def test_two_arrivals(self):
-        ledger = SplitLedger(SeedSpec(0))
-        mode = SplitMode("alternating")
-        ledger.assign(mode)
-        ledger.assign(mode)
-        primary, swapped = ledger.crossfit_views()
-        assert primary == (TRAIN, EVAL)
-        assert swapped == (EVAL, TRAIN)
-        # view 1 scores the eval split (arrival 2), view 2 scores train
-        assert ledger.indices(EVAL) == [1]
-        assert ledger.indices(TRAIN) == [0]
-
-    def test_not_ready_on_empty_split(self):
-        ledger = SplitLedger(SeedSpec(0))
-        ledger.assign(SplitMode("alternating"))  # only the train split filled
-        with pytest.raises(NotReady):
-            ledger.crossfit_views()
-
-    def test_scoring_sets_partition(self):
-        ledger = SplitLedger(SeedSpec(11))
-        mode = SplitMode("bernoulli_half")
-        for _ in range(1000):
-            ledger.assign(mode)
-        primary, swapped = ledger.crossfit_views()
-        scored = set(ledger.indices(primary[1])) | set(ledger.indices(swapped[1]))
-        assert scored == set(range(1000))
-        assert len(ledger.indices(primary[1])) == ledger.t_eval
-        assert len(ledger.indices(swapped[1])) == ledger.t_train
+        assert ledger.assignment_log.count(TRAIN) == ledger.t_train
+        assert ledger.assignment_log.count(EVAL) == ledger.t_eval
