@@ -41,6 +41,8 @@ _IRLS_TOL = 1e-8
 # least this many
 _HOLDOUT_MIN = 5
 _PGD_STEPS = 500
+# query rows per k-NN distance block
+_KNN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -107,14 +109,21 @@ class _KnnPredictor:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if self.k == len(self.ys):
+            return np.full(x.shape[0], self.ys.mean())
+        if x.shape[0] > _KNN_CHUNK:
+            # a batch rescoring sends thousands of rows at once; chunks
+            # keep the distance array small
+            return np.concatenate([
+                self(x[i : i + _KNN_CHUNK])
+                for i in range(0, x.shape[0], _KNN_CHUNK)
+            ])
         # squared Euclidean distances, vectorized over query points
         d2 = (
             np.sum(x * x, axis=1)[:, None]
             - 2.0 * x @ self.xs.T
             + np.sum(self.xs * self.xs, axis=1)[None, :]
         )
-        if self.k == len(self.ys):
-            return np.full(x.shape[0], self.ys.mean())
         idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
         return self.ys[idx].mean(axis=1)
 
@@ -227,12 +236,24 @@ def _fit_logistic(x: np.ndarray, labels: np.ndarray, ridge: float) -> _LogisticP
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto the probability simplex."""
+    """Euclidean projection of v onto the probability simplex.
+
+    A plain loop over the sorted entries: the vectors here have a handful
+    of entries, where numpy's per-call overhead would dominate. The
+    running sum adds in the order np.cumsum does, so theta is the same to
+    the bit as in the sort/cumsum formula.
+    """
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
+    vals = v.tolist()
+    theta = None
+    if all(map(math.isfinite, vals)):
+        css = 0.0
+        for i, u in enumerate(sorted(vals, reverse=True)):
+            css += u
+            if u * (i + 1) > css - 1.0:
+                theta = (css - 1.0) / (i + 1.0)
+    if theta is None:
+        raise DomainError("cannot project a non-finite vector onto the simplex")
     return np.maximum(v - theta, 0.0)
 
 
@@ -241,7 +262,12 @@ def _tune_weights(
 ) -> np.ndarray:
     """Simplex-constrained weights minimizing holdout loss by projected
     gradient descent, started from the best single candidate so the
-    stack never does worse than any vertex on the tuning fold."""
+    stack never does worse than any vertex on the tuning fold.
+
+    The step map is deterministic, so once an iterate repeats one seen
+    before, every later iterate has been scored already and the best
+    cannot change: the descent stops there.
+    """
     m, kk = preds.shape
     if kk == 1:
         return np.ones(1)
@@ -249,36 +275,39 @@ def _tune_weights(
     if loss == "log":
         pc = np.clip(preds, delta, 1.0 - delta)
 
-        def loss_fn(w):
+        def loss_grad(w):
             q = np.clip(pc @ w, 1e-12, 1.0 - 1e-12)
-            return -np.mean(target * np.log(q) + (1.0 - target) * np.log1p(-q))
-
-        def grad_fn(w):
-            q = np.clip(pc @ w, 1e-12, 1.0 - 1e-12)
-            return pc.T @ ((q - target) / (q * (1.0 - q))) / m
+            value = -np.mean(target * np.log(q) + (1.0 - target) * np.log1p(-q))
+            return value, pc.T @ ((q - target) / (q * (1.0 - q))) / m
 
         lam = float(np.linalg.eigvalsh(pc.T @ pc / m).max())
         lip = lam / max(delta * (1.0 - delta), 1e-4) ** 2
     else:
+        # 2.0 * preds.T @ r evaluates as (2.0 * preds.T) @ r, so hoisting
+        # the product keeps the arithmetic, and the bits, unchanged
+        two_pt = 2.0 * preds.T
 
-        def loss_fn(w):
+        def loss_grad(w):
             r = preds @ w - target
-            return float(r @ r) / m
-
-        def grad_fn(w):
-            return 2.0 * preds.T @ (preds @ w - target) / m
+            return float(r @ r) / m, two_pt @ r / m
 
         lip = 2.0 * float(np.linalg.eigvalsh(preds.T @ preds / m).max())
 
-    vertex_losses = [loss_fn(np.eye(kk)[j]) for j in range(kk)]
-    w = np.eye(kk)[int(np.argmin(vertex_losses))].copy()
+    vertices = [loss_grad(e) for e in np.eye(kk)]
+    j = int(np.argmin([value for value, _ in vertices]))
+    w = np.eye(kk)[j].copy()
     if lip <= 0.0 or not math.isfinite(lip):
         return w
     step = 1.0 / lip
-    best_w, best_l = w.copy(), loss_fn(w)
+    best_w, (best_l, grad) = w.copy(), vertices[j]
+    seen = {w.tobytes()}
     for _ in range(_PGD_STEPS):
-        w = project_simplex(w - step * grad_fn(w))
-        cur = loss_fn(w)
+        w = project_simplex(w - step * grad)
+        key = w.tobytes()
+        if key in seen:
+            break
+        seen.add(key)
+        cur, grad = loss_grad(w)
         if cur < best_l:
             best_l, best_w = cur, w.copy()
     return best_w

@@ -1,8 +1,11 @@
 """Nuisance learners: regressions, propensities, simplex-weighted stacks."""
 
+import math
+
 import numpy as np
 import pytest
 
+from seqdr import nuisance
 from seqdr.numerics import DomainError
 from seqdr.nuisance import (
     LearnerSpec,
@@ -12,6 +15,88 @@ from seqdr.nuisance import (
     project_simplex,
 )
 from seqdr.splitting import NotReady
+
+
+# Reference copies of the sort/cumsum projection and the fixed 500-step
+# descent that the faster code must reproduce bit for bit.
+def _reference_project_simplex(v):
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u * np.arange(1, len(v) + 1) > (css - 1.0))[0][-1]
+    theta = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def _reference_tune_weights(preds, target, loss, delta):
+    m, kk = preds.shape
+    if loss == "log":
+        pc = np.clip(preds, delta, 1.0 - delta)
+
+        def loss_fn(w):
+            q = np.clip(pc @ w, 1e-12, 1.0 - 1e-12)
+            return -np.mean(target * np.log(q) + (1.0 - target) * np.log1p(-q))
+
+        def grad_fn(w):
+            q = np.clip(pc @ w, 1e-12, 1.0 - 1e-12)
+            return pc.T @ ((q - target) / (q * (1.0 - q))) / m
+
+        lam = float(np.linalg.eigvalsh(pc.T @ pc / m).max())
+        lip = lam / max(delta * (1.0 - delta), 1e-4) ** 2
+    else:
+
+        def loss_fn(w):
+            r = preds @ w - target
+            return float(r @ r) / m
+
+        def grad_fn(w):
+            return 2.0 * preds.T @ (preds @ w - target) / m
+
+        lip = 2.0 * float(np.linalg.eigvalsh(preds.T @ preds / m).max())
+
+    vertex_losses = [loss_fn(np.eye(kk)[j]) for j in range(kk)]
+    w = np.eye(kk)[int(np.argmin(vertex_losses))].copy()
+    if lip <= 0.0 or not math.isfinite(lip):
+        return w
+    step = 1.0 / lip
+    best_w, best_l = w.copy(), loss_fn(w)
+    for _ in range(500):
+        w = _reference_project_simplex(w - step * grad_fn(w))
+        cur = loss_fn(w)
+        if cur < best_l:
+            best_l, best_w = cur, w.copy()
+    return best_w
+
+
+def _holdout_problems():
+    """Synthetic tuning folds, (name, preds, target, loss): for each loss
+    one whose best vertex is a fixed point of the step map and one with
+    an interior optimum."""
+    rng = np.random.default_rng(11)
+    m = 60
+    t = rng.standard_normal(m)
+    p = rng.uniform(0.2, 0.8, m)
+    labels = (rng.random(m) < p).astype(float)
+    # the mean predictor is best; every other candidate moves against t
+    sq_vertex = np.column_stack([
+        np.full(m, t.mean()), -0.5 * t,
+        -0.8 * t + 0.1 * rng.standard_normal(m),
+        -0.5 * t + 0.3 * rng.standard_normal(m)])
+    sq_interior = np.column_stack(
+        [t + 0.5 * rng.standard_normal(m) for _ in range(4)])
+    log_vertex = np.column_stack([
+        np.full(m, labels.mean()),
+        np.clip(p + 0.02 * rng.standard_normal(m), 0.01, 0.99),
+        1.0 - p, np.where(labels > 0, 0.05, 0.95)])
+    log_interior = np.column_stack(
+        [np.clip(p + 0.15 * rng.standard_normal(m), 0.05, 0.95)
+         for _ in range(3)] + [np.full(m, labels.mean())])
+    return [
+        ("squared_vertex", sq_vertex, t, "squared"),
+        ("squared_interior", sq_interior, t, "squared"),
+        ("log_vertex", log_vertex, labels, "log"),
+        ("log_interior", log_interior, labels, "log"),
+    ]
 
 
 class TestFitOutcome:
@@ -62,6 +147,22 @@ class TestFitOutcome:
         y = np.array([4.0, -1.0, 9.0])
         pred = fit_outcome(x, y, LearnerSpec("knn", k=1))
         assert float(pred(np.array([[1.0]]))[0]) == -1.0
+
+    @pytest.mark.parametrize("grid", [0.0, 0.5])
+    def test_knn_chunked_rows_match_one_block(self, grid):
+        # a 600-row query spans three chunks; on a coarse grid many
+        # distances tie, so argpartition's choice among them is exercised
+        rng = np.random.default_rng(14)
+        xs = rng.standard_normal((700, 3))
+        q = rng.standard_normal((600, 3))
+        if grid:
+            xs, q = np.round(xs / grid) * grid, np.round(q / grid) * grid
+        ys = rng.standard_normal(700)
+        d2 = (np.sum(q * q, axis=1)[:, None] - 2.0 * q @ xs.T
+              + np.sum(xs * xs, axis=1)[None, :])
+        idx = np.argpartition(d2, 9, axis=1)[:, :10]
+        pred = fit_outcome(xs, ys, LearnerSpec("knn", k=10))
+        assert pred(q).tobytes() == ys[idx].mean(axis=1).tobytes()
 
     def test_spline_recovers_quadratic(self):
         rng = np.random.default_rng(8)
@@ -157,6 +258,50 @@ class TestProjectSimplex:
                 if d < best_d:
                     best, best_d = w, d
         assert np.allclose(p, best, atol=1e-2)
+
+    def test_matches_sort_cumsum_formula_bitwise(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10_000):
+            scale = 10.0 ** rng.uniform(-6.0, 8.0)
+            v = rng.standard_normal(rng.integers(1, 8)) * scale
+            if rng.random() < 0.2:
+                v[-1] = v[0]  # a tie in the sort
+            got = project_simplex(v)
+            assert got.tobytes() == _reference_project_simplex(v).tobytes(), v
+
+    @pytest.mark.parametrize("v", [
+        [0.2, np.nan, 0.1],
+        [np.inf, 0.0],
+        [0.5, -np.inf],
+        [1e300, -1e300, 0.0, 0.0],
+    ])
+    def test_unprojectable_vector_raises(self, v):
+        with pytest.raises(DomainError, match="cannot project"):
+            project_simplex(np.array(v))
+
+
+class TestTuneWeights:
+    @pytest.mark.parametrize("case", _holdout_problems(), ids=lambda c: c[0])
+    def test_matches_fixed_step_descent_bitwise(self, case):
+        _, preds, target, loss = case
+        got = nuisance._tune_weights(preds, target, loss, 1e-3)
+        want = _reference_tune_weights(preds, target, loss, 1e-3)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["squared_vertex", "log_vertex"])
+    def test_fixed_point_vertex_stops_after_one_step(self, name, monkeypatch):
+        _, preds, target, loss = dict(
+            (c[0], c) for c in _holdout_problems())[name]
+        calls = []
+
+        def counted(v):
+            calls.append(1)
+            return project_simplex(v)
+
+        monkeypatch.setattr(nuisance, "project_simplex", counted)
+        w = nuisance._tune_weights(preds, target, loss, 1e-3)
+        assert len(calls) == 1
+        assert w.tolist().count(1.0) == 1 and w.sum() == 1.0
 
 
 class TestFitEnsemble:
