@@ -16,23 +16,19 @@ from .boundaries import (
     CsPoint,
     MartingaleState,
     fixed_ci_radius,
-    lil_radius,
     mixture_martingale,
     mixture_radius,
-    multivariate_cs,
     non_iid_radius,
     norm_quantile,
     tune_rho,
 )
 from .io import OUTPUT_HEADER, ParseError, format_row, parse_observation
 from .numerics import (
-    CovMoments,
     DataError,
     DomainError,
     PsdMatrix,
     RunningMoments,
     SeedSpec,
-    expit,
     lambert_w,
 )
 from .nuisance import (
@@ -46,7 +42,6 @@ from .simlab import (
     MonteCarloReport,
     RepSummary,
     SimScenario,
-    ate_report,
     generate_stream,
     mu_star,
     run_ate_miscoverage,
@@ -61,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AteEngine",
     "BoundarySpec",
-    "CovMoments",
     "CsPoint",
     "DataError",
     "DomainError",
@@ -85,10 +79,8 @@ __all__ = [
     "SplitMode",
     "TRAIN",
     "UnadjustedEstimator",
-    "ate_report",
     "default_boundary",
     "eval_influence",
-    "expit",
     "fit_ensemble",
     "fit_outcome",
     "fit_propensity",
@@ -97,11 +89,9 @@ __all__ = [
     "general_cs",
     "generate_stream",
     "lambert_w",
-    "lil_radius",
     "mixture_martingale",
     "mixture_radius",
     "mu_star",
-    "multivariate_cs",
     "non_iid_radius",
     "norm_quantile",
     "parse_observation",

@@ -370,10 +370,11 @@ class UnadjustedEstimator:
     def update(self, a: int, y: float, known_pi: float | None = None) -> CsPoint | None:
         if a not in (0, 1):
             raise DataError(f"treatment must be 0 or 1, got {a!r}")
+        if self.mode == RANDOMIZED and known_pi is None:
+            raise DataError("randomized mode requires a known propensity")
         self.t += 1
         if self.mode == RANDOMIZED:
-            pi = known_pi if known_pi is not None else 0.5
-            g = (a / pi - (1 - a) / (1.0 - pi)) * y
+            g = (a / known_pi - (1 - a) / (1.0 - known_pi)) * y
             self._known = self._known.push(g)
         else:
             self.n_treated += a

@@ -1,10 +1,10 @@
 """Confidence-sequence radii and tuning of the mixture parameter rho.
 
 All radius computations live here: the normal mixture boundary that
-every estimator uses, two standalone boundaries (iterated logarithm, and
-independent but non-identically-distributed streams), a per-coordinate
-multivariate box, the fixed-time CI comparator, and the closed form of
-the Gaussian mixture martingale (kept as a cross-check oracle).
+every estimator uses, a standalone boundary for independent but
+non-identically-distributed streams, the fixed-time CI comparator, and
+the closed form of the Gaussian mixture martingale (kept as a
+cross-check oracle).
 """
 
 from __future__ import annotations
@@ -13,18 +13,14 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-import numpy as np
-
-from .numerics import CovMoments, DomainError, lambert_w, psd_sqrt
+from .numerics import DomainError, lambert_w
 
 __all__ = [
     "BoundarySpec",
     "CsPoint",
     "MartingaleState",
     "mixture_radius",
-    "lil_radius",
     "non_iid_radius",
-    "multivariate_cs",
     "tune_rho",
     "fixed_ci_radius",
     "mixture_martingale",
@@ -111,21 +107,6 @@ def mixture_radius(t: int, sigma_hat: float, spec: BoundarySpec) -> float:
     return sigma_hat * _mixture_unit(t, 1.0, spec)
 
 
-def lil_radius(t: int, sigma_hat: float, alpha: float) -> float:
-    """Iterated-logarithm boundary: 1.7 sigma sqrt((loglog(2t) + 0.72 log(5.2/alpha)) / t)."""
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
-    if sigma_hat < 0:
-        raise DomainError("sigma_hat must be nonnegative")
-    return (
-        1.7
-        * sigma_hat
-        * math.sqrt(
-            (math.log(math.log(2.0 * t)) + 0.72 * math.log(5.2 / alpha)) / t
-        )
-    )
-
-
 def non_iid_radius(t: int, sigma_bar_sq_hat: float, spec: BoundarySpec) -> float:
     """Boundary for independent, non-identically-distributed streams.
 
@@ -139,32 +120,6 @@ def non_iid_radius(t: int, sigma_bar_sq_hat: float, spec: BoundarySpec) -> float
     if sigma_bar_sq_hat < 0:
         raise DomainError("sigma_bar_sq_hat must be nonnegative")
     return _mixture_unit(t, sigma_bar_sq_hat, spec)
-
-
-def multivariate_cs(
-    cov: CovMoments, mean: np.ndarray, spec: BoundarySpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned confidence box for a d-dimensional mean.
-
-    Instantiates the abstract multivariate sequence as a per-coordinate
-    normal mixture box at level alpha / d (union bound), then maps it
-    through the PSD square root of the running covariance.
-
-    Returns
-    -------
-    (lower, upper) : pair of length-d arrays
-    """
-    mean = np.asarray(mean, dtype=float)
-    if cov.count < 2:
-        raise DomainError("need at least two observations for a covariance")
-    d = cov.dim
-    if mean.shape != (d,):
-        raise DomainError(f"mean has shape {mean.shape}, expected ({d},)")
-    per_coord = BoundarySpec(spec.alpha / d, spec.rho)
-    r = np.full(d, mixture_radius(cov.count, 1.0, per_coord))
-    root = psd_sqrt(cov.covariance()).entries
-    half = np.abs(root) @ r
-    return mean - half, mean + half
 
 
 def tune_rho(alpha: float, t_star: int, method: str = "exact") -> float:

@@ -14,7 +14,7 @@ import contextlib
 import os
 import sys
 
-from .ate import AteEngine, EngineConfig
+from .ate import AteEngine, EngineConfig, default_boundary
 from .boundaries import BoundarySpec, tune_rho
 from .io import OUTPUT_HEADER, ParseError, format_row, parse_observation
 from .numerics import DataError, DomainError, SeedSpec
@@ -32,9 +32,12 @@ __all__ = ["main", "build_parser"]
 
 def _seed_from(args) -> int:
     env = os.environ.get("SEQDR_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError:
+        raise DomainError(f"SEQDR_SEED must be an integer, got {env!r}") from None
 
 
 def _schema_dim(text: str) -> int:
@@ -176,10 +179,10 @@ def _cmd_simulate(args) -> int:
             rho=args.rho, comparator=args.comparator,
         )
     else:
-        rho = args.rho if args.rho is not None else tune_rho(
-            args.alpha, 5 * args.t_min, "exact")
+        boundary = (default_boundary(args.alpha, args.t_min) if args.rho is None
+                    else BoundarySpec(args.alpha, args.rho))
         config = EngineConfig(
-            boundary=BoundarySpec(args.alpha, rho),
+            boundary=boundary,
             mode="randomized" if args.scenario == "randomized_ate"
             else "observational",
             learner=_learner_spec(args),
@@ -219,7 +222,11 @@ def _cmd_tune_rho(args) -> int:
 
 
 def _cmd_width_table(args) -> int:
-    t_opts = [int(p) for p in args.t_opts.split(",") if p.strip()]
+    try:
+        t_opts = [int(p) for p in args.t_opts.split(",") if p.strip()]
+    except ValueError:
+        raise DomainError(f"--t-opts must be comma-separated integers, "
+                          f"got {args.t_opts!r}") from None
     rows = width_table(args.alpha, t_opts)
     out = sys.stdout if args.out == "-" else open(args.out, "w")
     try:

@@ -13,7 +13,6 @@ import json
 import numpy as np
 
 from .ate import EmitRow, Observation
-from .numerics import DataError
 
 __all__ = ["ParseError", "parse_observation", "serialize_observation",
            "OUTPUT_HEADER", "format_row"]
@@ -60,23 +59,20 @@ def parse_observation(row: str, d: int, line_no: int = 0) -> Observation:
             x = [float(p) for p in parts[:d]]
             a = float(parts[d])
             y = float(parts[d + 1])
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        raise ParseError(line_no, str(exc)) from exc
-
-    if len(x) != d:
-        raise ParseError(line_no, f"expected {d} covariates, got {len(x)}")
-    if a not in (0, 1, 0.0, 1.0):
-        raise ParseError(line_no, f"treatment must be 0 or 1, got {a!r}")
-    try:
+        if len(x) != d:
+            raise ParseError(line_no, f"expected {d} covariates, got {len(x)}")
+        if a not in (0, 1, 0.0, 1.0):
+            raise ParseError(line_no, f"treatment must be 0 or 1, got {a!r}")
         return Observation(
             x=np.asarray(x, dtype=float),
             a=int(a),
             y=float(y),
             known_pi=None if pi is None else float(pi),
         )
-    except DataError as exc:
+    except ParseError:
+        raise
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        # ValueError covers json.JSONDecodeError and DataError
         raise ParseError(line_no, str(exc)) from exc
 
 

@@ -55,6 +55,8 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown learner kind: {self.kind!r}")
+        if self.k < 1:
+            raise DomainError(f"k must be >= 1, got {self.k}")
 
     def resolved_candidates(self, task: str) -> tuple["LearnerSpec", ...]:
         """Candidate list for the ensemble: a misspecified parametric model

@@ -1,9 +1,8 @@
 """Scalar and small-matrix numerical kernels.
 
-Lambert W on both real branches, a numerically stable logistic sigmoid,
-streaming univariate and multivariate moment accumulators, the PSD matrix
-square root, and the seeded RNG contract used everywhere else in the
-package.
+Lambert W on both real branches, a streaming moment accumulator, the PSD
+matrix square root and operator norm, and the seeded RNG contract used
+everywhere else in the package.
 """
 
 from __future__ import annotations
@@ -18,10 +17,8 @@ __all__ = [
     "DataError",
     "SeedSpec",
     "RunningMoments",
-    "CovMoments",
     "PsdMatrix",
     "lambert_w",
-    "expit",
     "psd_sqrt",
     "opnorm",
 ]
@@ -96,16 +93,13 @@ class RunningMoments:
             return 0.0
         return max(self.sum_sq_centered / self.count, 0.0)
 
-    def stddev(self) -> float:
-        return math.sqrt(self.variance())
-
 
 @dataclass(frozen=True)
 class PsdMatrix:
     """A symmetric positive semidefinite matrix.
 
     Symmetry is enforced to 1e-12; eigenvalues may drift as low as -1e-10
-    (streaming accumulators are slightly indefinite) and are clamped to 0.
+    (accumulated sums are slightly indefinite) and are clamped to 0.
     """
 
     entries: np.ndarray
@@ -135,62 +129,6 @@ class PsdMatrix:
         if vals.min(initial=0.0) < -self.EIG_TOL * scale:
             raise DomainError("matrix is indefinite beyond tolerance")
         return np.maximum(vals, 0.0), vecs
-
-
-@dataclass
-class CovMoments:
-    """Streaming mean vector and covariance accumulator.
-
-    The dimension is fixed by the first update; the covariance divides by
-    the count, matching ``RunningMoments``.
-    """
-
-    count: int = 0
-    mean: np.ndarray | None = None
-    comoment: np.ndarray | None = None
-
-    def push(self, y: np.ndarray) -> "CovMoments":
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1:
-            raise DataError("expected a 1-d vector")
-        if not np.all(np.isfinite(y)):
-            raise DataError("non-finite vector entries")
-        if self.count == 0:
-            mean = y.copy()
-            como = np.zeros((y.size, y.size))
-            return CovMoments(1, mean, como)
-        if y.size != self.mean.size:
-            raise DomainError(
-                f"dimension mismatch: accumulator is {self.mean.size}, got {y.size}"
-            )
-        n = self.count + 1
-        delta = y - self.mean
-        mean = self.mean + delta / n
-        como = self.comoment + np.outer(delta, y - mean)
-        return CovMoments(n, mean, como)
-
-    @property
-    def dim(self) -> int:
-        if self.count == 0:
-            raise DomainError("empty accumulator has no dimension")
-        return self.mean.size
-
-    def covariance(self) -> PsdMatrix:
-        if self.count == 0:
-            raise DomainError("covariance of an empty accumulator")
-        c = self.comoment / self.count
-        # kill tiny asymmetry/negativity from accumulation drift
-        c = 0.5 * (c + c.T)
-        return PsdMatrix(c)
-
-
-def expit(x: float) -> float:
-    """Logistic sigmoid 1 / (1 + exp(-x)), stable over the float range."""
-    x = float(x)
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 def _halley(w: float, z: float) -> float:

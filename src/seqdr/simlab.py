@@ -22,6 +22,7 @@ from .ate import (
     EngineConfig,
     Observation,
     UnadjustedEstimator,
+    default_boundary,
 )
 from .boundaries import BoundarySpec, fixed_ci_radius, mixture_radius, tune_rho
 from .numerics import DomainError, SeedSpec
@@ -36,7 +37,6 @@ __all__ = [
     "run_miscoverage",
     "run_ate_miscoverage",
     "run_ate_study",
-    "ate_report",
     "width_table",
 ]
 
@@ -61,6 +61,8 @@ class SimScenario:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown scenario kind: {self.kind!r}")
+        if self.n < 1:
+            raise DomainError(f"n must be >= 1, got {self.n}")
 
 
 @dataclass
@@ -178,9 +180,7 @@ def run_miscoverage(
     if reps < 1:
         raise DomainError("reps must be >= 1")
     n = scenario.n
-    if rho is None:
-        rho = tune_rho(alpha, 5 * t_start, "exact")
-    spec = BoundarySpec(alpha, rho)
+    spec = default_boundary(alpha, t_start) if rho is None else BoundarySpec(alpha, rho)
 
     y = np.empty((reps, n))
     for r in range(reps):
@@ -327,22 +327,6 @@ def run_ate_study(
                 points = [r.point for r in rows]
             out[name].append(_summarize_points(points, scenario.psi_true))
     return out
-
-
-def ate_report(summaries: list[RepSummary], horizon: int) -> dict:
-    """Summary statistics over one estimator's replication list."""
-    widths = [s.final_width for s in summaries if not math.isnan(s.final_width)]
-    ests = [s.final_estimate for s in summaries if not math.isnan(s.final_estimate)]
-    return {
-        "reps": len(summaries),
-        "horizon": horizon,
-        "uniform_coverage_rate": float(
-            np.mean([s.uniform_coverage for s in summaries])
-        ),
-        "final_coverage_rate": float(np.mean([s.final_coverage for s in summaries])),
-        "median_final_width": float(np.median(widths)) if widths else math.nan,
-        "mean_final_estimate": float(np.mean(ests)) if ests else math.nan,
-    }
 
 
 def width_table(

@@ -268,6 +268,15 @@ class TestUnadjusted:
         # (1/2)(10 + 14) = 12
         assert est.estimate() == pytest.approx(12.0)
 
+    def test_randomized_requires_known_pi(self):
+        est = UnadjustedEstimator(BoundarySpec(0.1, 0.3), mode="randomized",
+                                  t_min=1)
+        est.update(1, 5.0, 0.5)
+        with pytest.raises(DataError):
+            est.update(0, 1.0)
+        # the rejected record left no trace
+        assert est.t == 1 and est.estimate() == pytest.approx(10.0)
+
     def test_single_arm_not_ready(self):
         from seqdr.splitting import NotReady
         est = UnadjustedEstimator(BoundarySpec(0.1, 0.3), mode="observational")

@@ -12,15 +12,13 @@ from seqdr.boundaries import (
     CsPoint,
     MartingaleState,
     fixed_ci_radius,
-    lil_radius,
     mixture_martingale,
     mixture_radius,
-    multivariate_cs,
     non_iid_radius,
     norm_quantile,
     tune_rho,
 )
-from seqdr.numerics import CovMoments, DomainError
+from seqdr.numerics import DomainError
 
 
 def quad_mixture(t, w, rho):
@@ -65,21 +63,6 @@ class TestMixtureRadius:
             r = mixture_radius(t, 1.0, spec)
             m = mixture_martingale(MartingaleState(t, t * r), spec.rho)
             assert m == pytest.approx(1.0 / spec.alpha, rel=1e-10)
-
-
-class TestLilRadius:
-    def test_spot_value(self):
-        assert lil_radius(2, 1.0, 0.05) == pytest.approx(2.30305, abs=1e-4)
-
-    def test_zero_sigma(self):
-        assert lil_radius(5, 0.0, 0.05) == 0.0
-
-    def test_formula_direct(self):
-        t, alpha = 137, 0.1
-        want = 1.7 * math.sqrt(
-            (math.log(math.log(2 * t)) + 0.72 * math.log(5.2 / alpha)) / t
-        )
-        assert lil_radius(t, 1.0, alpha) == pytest.approx(want, rel=1e-12)
 
 
 class TestNonIidRadius:
@@ -199,37 +182,6 @@ class TestMixtureMartingale:
             MartingaleState(0, 1.0)
         with pytest.raises(DomainError):
             MartingaleState(-1, 0.0)
-
-
-class TestMultivariateCs:
-    def test_identity_covariance_alpha_split(self):
-        rng = np.random.default_rng(8)
-        c = CovMoments()
-        # push standardized data whose sample covariance we then force to
-        # the identity via a spot-check construction: use the real sample
-        # covariance and verify the per-coordinate radius instead
-        for _ in range(200):
-            c = c.push(rng.standard_normal(2))
-        mean = np.zeros(2)
-        spec = BoundarySpec(alpha=0.1, rho=0.5)
-        lower, upper = multivariate_cs(c, mean, spec)
-        assert lower.shape == upper.shape == (2,)
-        assert np.all(lower <= mean) and np.all(mean <= upper)
-        # per-coordinate level is alpha / d
-        per = BoundarySpec(0.05, 0.5)
-        from seqdr.numerics import psd_sqrt
-        root = np.abs(psd_sqrt(c.covariance()).entries)
-        r = mixture_radius(c.count, 1.0, per)
-        want_half = root @ np.full(2, r)
-        assert np.allclose(upper - mean, want_half, rtol=1e-12)
-
-    def test_dimension_mismatch(self):
-        c = CovMoments()
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            c = c.push(rng.standard_normal(3))
-        with pytest.raises(DomainError):
-            multivariate_cs(c, np.zeros(2), BoundarySpec(0.1, 1.0))
 
 
 class TestCsPoint:

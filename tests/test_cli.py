@@ -40,6 +40,18 @@ class TestParseObservation:
         with pytest.raises(ParseError):
             parse_observation("0.0,2,1.0", d=1)
 
+    @pytest.mark.parametrize("row", [
+        '{"x": 1.5, "a": 1, "y": 0.2, "pi": 0.5}',
+        '{"x": ["q"], "a": 1, "y": 0.2, "pi": 0.5}',
+        '{"x": [0.1], "a": 1, "y": "abc", "pi": 0.5}',
+        '{"x": [0.1], "a": 1, "y": null, "pi": 0.5}',
+        '{"x": [0.1], "a": 1, "y": 1%s, "pi": 0.5}' % ("0" * 400),
+    ], ids=["x_scalar", "x_text", "y_text", "y_null", "y_overflow"])
+    def test_bad_json_fields_name_line(self, row):
+        with pytest.raises(ParseError) as exc:
+            parse_observation(row, d=1, line_no=9)
+        assert str(exc.value).startswith("line 9: ")
+
     def test_round_trip(self):
         z = parse_observation("0.25,-1,0.125,1,2.5,0.5", d=3)
         back = parse_observation(serialize_observation(z), d=3)
@@ -120,13 +132,18 @@ class TestMonitorCommand:
     def test_skip_bad(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
         with open(inp, "w") as fh:
-            fh.write("0.1,1,0.7,0.5\nbroken\n0.3,1,0.5\n0.2,0,0.3,0.5\n")
+            fh.write("0.1,1,0.7,0.5\nbroken\n0.3,1,0.5\n0.2,0,0.3,0.5\n"
+                     '{"x": 1.5, "a": 1, "y": 0.2, "pi": 0.5}\n'
+                     '{"x": [0.2], "a": 0, "y": null, "pi": 0.5}\n')
         out = tmp_path / "o.csv"
         code = main(["monitor", "--alpha", "0.1", "--rho", "0.3",
                      "--skip-bad", "--input", str(inp), "--schema", "d=1",
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [e.split(":")[0] for e in err] == [
+            "line 2", "line 3", "line 5", "line 6"]
 
     def test_unopenable_files_exit_2(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
@@ -156,6 +173,24 @@ class TestMonitorCommand:
         assert code == 0
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 200 and rows[-1].endswith(",ok")
+
+    @pytest.mark.parametrize("extra, seed_env", [
+        (["--learner", "knn", "--knn-k", "0"], None),
+        ([], "abc"),
+    ])
+    def test_bad_setting_exit_2(self, tmp_path, monkeypatch, capsys,
+                                extra, seed_env):
+        inp = tmp_path / "in.csv"
+        self._write_stream(inp, n=10)
+        if seed_env is not None:
+            monkeypatch.setenv("SEQDR_SEED", seed_env)
+        out = tmp_path / "out.csv"
+        code = main(["monitor", "--alpha", "0.1", "--rho", "0.3", *extra,
+                     "--input", str(inp), "--schema", "d=3", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         inp = tmp_path / "in.csv"
@@ -194,6 +229,14 @@ class TestSimulateCommand:
         assert len(out.read_text().splitlines()) == 201
 
 
+    def test_empty_horizon_exit_2(self, tmp_path, capsys):
+        code = main(["simulate", "--scenario", "randomized_ate", "--n", "0",
+                     "--reps", "1", "--out", str(tmp_path / "ra.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestTuneRhoCommand:
     def test_prints_both_and_gap(self, capsys):
         assert main(["tune-rho", "--alpha", "0.05", "--t-star", "100"]) == 0
@@ -223,3 +266,10 @@ class TestWidthTableCommand:
         assert len(lines) == 11
         first = lines[1].split(",")
         assert float(first[5]) == pytest.approx(1.549, abs=0.005)
+
+    def test_non_integer_t_opts_exit_2(self, capsys):
+        assert main(["width-table", "--alpha", "0.05", "--t-opts", "abc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")

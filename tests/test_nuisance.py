@@ -99,6 +99,17 @@ def _holdout_problems():
     ]
 
 
+class TestLearnerSpec:
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(DomainError):
+            LearnerSpec("forest")
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_rejects_k_below_one(self, k):
+        with pytest.raises(DomainError):
+            LearnerSpec("knn", k=k)
+
+
 class TestFitOutcome:
     def test_linear_interpolates_exact_line(self):
         x = np.arange(10.0)[:, None]

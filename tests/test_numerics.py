@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from seqdr.numerics import (
-    CovMoments,
     DataError,
     DomainError,
     PsdMatrix,
     RunningMoments,
     SeedSpec,
-    expit,
     lambert_w,
     opnorm,
     psd_sqrt,
@@ -134,24 +132,6 @@ class TestRunningMoments:
             RunningMoments().push(math.inf)
 
 
-class TestCovMoments:
-    def test_matches_batch_covariance(self):
-        rng = np.random.default_rng(2)
-        y = rng.standard_normal((500, 3)) @ np.diag([1.0, 2.0, 0.5])
-        c = CovMoments()
-        for row in y:
-            c = c.push(row)
-        cov = c.covariance().entries
-        batch = np.cov(y.T, bias=True)
-        assert np.allclose(cov, batch, atol=1e-10)
-        assert np.allclose(c.mean, y.mean(axis=0))
-
-    def test_dimension_mismatch(self):
-        c = CovMoments().push(np.array([1.0, 2.0]))
-        with pytest.raises(DomainError):
-            c.push(np.array([1.0, 2.0, 3.0]))
-
-
 class TestPsdMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
@@ -196,18 +176,6 @@ class TestOpnorm:
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
             opnorm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestExpit:
-    def test_values(self):
-        assert expit(0.0) == pytest.approx(0.5)
-        assert expit(1.0) == pytest.approx(0.7310585786300049, abs=1e-12)
-        assert expit(800.0) == pytest.approx(1.0)
-        assert expit(-800.0) == pytest.approx(0.0)
-
-    def test_symmetry(self):
-        for x in (-5.0, -0.3, 0.7, 12.0):
-            assert expit(x) + expit(-x) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSeedSpec:
