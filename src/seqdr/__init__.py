@@ -49,7 +49,7 @@ from .simlab import (
     run_miscoverage,
     width_table,
 )
-from .splitting import EVAL, TRAIN, NotReady, SplitLedger, SplitMode
+from .splitting import EVAL, TRAIN, NotReady, SplitLedger
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "SeedSpec",
     "SimScenario",
     "SplitLedger",
-    "SplitMode",
     "TRAIN",
     "UnadjustedEstimator",
     "default_boundary",

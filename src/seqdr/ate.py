@@ -19,7 +19,7 @@ import numpy as np
 from .boundaries import BoundarySpec, CsPoint, mixture_radius, tune_rho
 from .numerics import DataError, DomainError, RunningMoments, SeedSpec
 from .nuisance import LearnerSpec, NuisanceFit, fit_outcome, fit_propensity
-from .splitting import EVAL, TRAIN, NotReady, SplitLedger, SplitMode
+from .splitting import EVAL, TRAIN, NotReady, SplitLedger
 
 __all__ = [
     "Observation",
@@ -52,6 +52,8 @@ class Observation:
 
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        if x.ndim != 1:
+            raise DataError(f"covariates must be a flat list, got shape {x.shape}")
         if not np.all(np.isfinite(x)) or not math.isfinite(self.y):
             raise DataError("non-finite observation fields")
         if self.a not in (0, 1):
@@ -131,10 +133,8 @@ class EngineConfig:
     learner: LearnerSpec = field(default_factory=LearnerSpec)
     crossfit: bool = True
     scoring: str = "batch"
-    refit_schedule: str = "doubling"
     t_min: int = 25
     clip_delta: float = 0.01
-    split: SplitMode = field(default_factory=SplitMode)
     seed: SeedSpec = field(default_factory=lambda: SeedSpec(0))
 
     def __post_init__(self):
@@ -142,8 +142,6 @@ class EngineConfig:
             raise DomainError(f"unknown mode: {self.mode!r}")
         if self.scoring not in ("batch", "online"):
             raise DomainError(f"unknown scoring mode: {self.scoring!r}")
-        if self.refit_schedule not in ("doubling", "every"):
-            raise DomainError(f"unknown refit schedule: {self.refit_schedule!r}")
         if not 0.0 < self.clip_delta < 0.5:
             raise DomainError("clip_delta must lie in (0, 0.5)")
 
@@ -185,8 +183,7 @@ class _View:
         """Called after a record joined ``train``."""
         n = len(self.train)
         # until the first usable fit, keep trying; then at powers of two
-        if (self.config.refit_schedule == "every" or self.fit is None
-                or n & (n - 1) == 0):
+        if self.fit is None or n & (n - 1) == 0:
             self._refit()
 
     def _arm_learner(self, n_arm: int) -> LearnerSpec:
@@ -221,7 +218,6 @@ class _View:
             mu1=mu1,
             mu0=mu0,
             pi=pi,
-            fitted_on=a.size,
             clip_delta=self.config.clip_delta,
         )
         self._score_from(0 if self.config.scoring == "batch" else len(self._scores))
@@ -293,7 +289,7 @@ class AteEngine:
             self.dim = z.x.size
         elif z.x.size != self.dim:
             raise DataError(f"expected {self.dim} covariates, got {z.x.size}")
-        rows = self.rows[self.ledger.assign(self.config.split)]
+        rows = self.rows[self.ledger.assign()]
         rows.append(z)
         for view in self.views:
             if view.train is rows:

@@ -25,7 +25,6 @@ from .simlab import (
     run_miscoverage,
     width_table,
 )
-from .splitting import SplitMode
 
 __all__ = ["main", "build_parser"]
 
@@ -72,16 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
                      default="randomized")
     mon.add_argument("--crossfit", action="store_true")
     mon.add_argument("--scoring", choices=["batch", "online"], default="online")
-    mon.add_argument("--refit-schedule", choices=["doubling", "every"],
-                     default="doubling")
     mon.add_argument("--learner",
                      choices=["mean_only", "linear", "knn", "spline", "ensemble"],
                      default="ensemble")
     mon.add_argument("--knn-k", type=int, default=10)
     mon.add_argument("--clip-delta", type=float, default=0.01)
     mon.add_argument("--t-min", type=int, default=25)
-    mon.add_argument("--split", choices=["bernoulli_half", "alternating"],
-                     default="bernoulli_half")
     mon.add_argument("--input", required=True, help="CSV/JSONL path, or - for stdin")
     mon.add_argument("--schema", type=_schema_dim, required=True,
                      help="covariate dimension, e.g. d=3")
@@ -133,10 +128,8 @@ def _cmd_monitor(args) -> int:
         learner=_learner_spec(args),
         crossfit=args.crossfit,
         scoring=args.scoring,
-        refit_schedule=args.refit_schedule,
         t_min=args.t_min,
         clip_delta=args.clip_delta,
-        split=SplitMode(args.split),
         seed=SeedSpec(_seed_from(args)),
     )
     engine = AteEngine(config)

@@ -80,7 +80,6 @@ class NuisanceFit:
     mu1: object
     mu0: object
     pi: object
-    fitted_on: int
     clip_delta: float = 0.01
 
 

@@ -46,6 +46,11 @@ class SeedSpec:
     master_seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if self.master_seed < 0 or self.stream_id < 0:
+            raise DomainError(f"seeds must be non-negative, got master_seed="
+                              f"{self.master_seed}, stream_id={self.stream_id}")
+
     def rng(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(seq))

@@ -180,6 +180,8 @@ def run_miscoverage(
     if reps < 1:
         raise DomainError("reps must be >= 1")
     n = scenario.n
+    if not 1 <= t_start <= n:
+        raise DomainError(f"t_start must lie in [1, n={n}], got {t_start}")
     spec = default_boundary(alpha, t_start) if rho is None else BoundarySpec(alpha, rho)
 
     y = np.empty((reps, n))
@@ -268,6 +270,8 @@ def run_ate_miscoverage(
     if reps < 1:
         raise DomainError("reps must be >= 1")
     n = scenario.n
+    if config.t_min > n:
+        raise DomainError(f"t_min must be <= n={n}, got {config.t_min}")
     missed = np.zeros((reps, n), dtype=bool)
     width_sum = np.zeros(n)
     est_sum = np.zeros(n)

@@ -46,7 +46,8 @@ class TestParseObservation:
         '{"x": [0.1], "a": 1, "y": "abc", "pi": 0.5}',
         '{"x": [0.1], "a": 1, "y": null, "pi": 0.5}',
         '{"x": [0.1], "a": 1, "y": 1%s, "pi": 0.5}' % ("0" * 400),
-    ], ids=["x_scalar", "x_text", "y_text", "y_null", "y_overflow"])
+        '{"x": [[0.3]], "a": 1, "y": 0.2, "pi": 0.5}',
+    ], ids=["x_scalar", "x_text", "y_text", "y_null", "y_overflow", "x_nested"])
     def test_bad_json_fields_name_line(self, row):
         with pytest.raises(ParseError) as exc:
             parse_observation(row, d=1, line_no=9)
@@ -177,6 +178,8 @@ class TestMonitorCommand:
     @pytest.mark.parametrize("extra, seed_env", [
         (["--learner", "knn", "--knn-k", "0"], None),
         ([], "abc"),
+        (["--seed", "-1"], None),
+        ([], "-1"),
     ])
     def test_bad_setting_exit_2(self, tmp_path, monkeypatch, capsys,
                                 extra, seed_env):
@@ -230,11 +233,17 @@ class TestSimulateCommand:
 
 
     def test_empty_horizon_exit_2(self, tmp_path, capsys):
-        code = main(["simulate", "--scenario", "randomized_ate", "--n", "0",
-                     "--reps", "1", "--out", str(tmp_path / "ra.csv")])
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        # no horizon, or a warm-up gate that leaves no time to check
+        for extra in (["--scenario", "randomized_ate", "--n", "0"],
+                      ["--scenario", "randomized_ate", "--n", "10", "--t-min", "20"],
+                      ["--scenario", "gaussian_mean", "--n", "10", "--t-min", "20"],
+                      ["--scenario", "gaussian_mean", "--n", "500", "--t-min", "0",
+                       "--rho", "0.2"]):
+            code = main(["simulate", *extra, "--reps", "1",
+                         "--out", str(tmp_path / "ra.csv")])
+            assert code == 2, extra
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), extra
 
 
 class TestTuneRhoCommand:

@@ -188,3 +188,8 @@ class TestSeedSpec:
         a = SeedSpec(123, 4).rng().standard_normal(32)
         b = SeedSpec(123, 5).rng().standard_normal(32)
         assert not np.array_equal(a, b)
+
+    def test_negative_seed_rejected(self):
+        for args in ((-1,), (0, -1)):
+            with pytest.raises(DomainError, match="non-negative"):
+                SeedSpec(*args)

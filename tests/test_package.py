@@ -1,9 +1,12 @@
 """Package surface: exported names exist, the package re-exports only
-what its submodules export, no module imports a name it never uses, and
-every package export is used by the package, the benchmark or the tools."""
+what its submodules export, no module imports a name it never uses,
+every package export is used by the package, the benchmark or the tools,
+and so is every dataclass field."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -78,11 +81,34 @@ def _references(path):
     return refs
 
 
-def test_no_unused_exports():
+def _user_files():
+    """The package, the benchmark and the tools: the code that runs seqdr."""
     root = pathlib.Path(__file__).resolve().parents[1]
-    files = [*(root / "src" / "seqdr").glob("*.py"),
-             *(root / "seqbench").glob("*.py"), *(root / "tools").glob("*.py")]
-    used = set().union(*map(_references, files))
+    return [*(root / "src" / "seqdr").glob("*.py"),
+            *(root / "seqbench").glob("*.py"), *(root / "tools").glob("*.py")]
+
+
+def test_no_unused_exports():
+    used = set().union(*map(_references, _user_files()))
     unused = sorted(set(seqdr.__all__) - used - set(CONTRACT_ONLY))
     assert not unused, unused
     assert set(CONTRACT_ONLY) <= set(seqdr.__all__) - used
+
+
+def _attribute_reads(path):
+    """Every attribute name a file reads, whatever object it is read from."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_unread_fields():
+    # a field that nothing reads is a setting or a record that does nothing;
+    # fields are matched by name, so a read of a same-named attribute counts
+    read = set().union(*map(_attribute_reads, _user_files()))
+    unread = sorted(f"{cls.__module__}.{cls.__name__}.{f.name}"
+                    for mod in SUBMODULES
+                    for _, cls in inspect.getmembers(mod, dataclasses.is_dataclass)
+                    if cls.__module__ == mod.__name__
+                    for f in dataclasses.fields(cls) if f.name not in read)
+    assert not unread, unread

@@ -48,11 +48,9 @@ MONITOR_RUNS = [
     ("randomized_linear", "randomized_ate", 4000, ["--learner", "linear"]),
     ("randomized_crossfit_ensemble_batch", "randomized_ate", 4000,
      ["--crossfit", "--learner", "ensemble", "--scoring", "batch"]),
-    ("randomized_spline_alternating", "randomized_ate", 4000,
-     ["--learner", "spline", "--split", "alternating"]),
-    ("randomized_crossfit_knn_batch_every", "randomized_ate", 600,
-     ["--crossfit", "--learner", "knn", "--scoring", "batch",
-      "--refit-schedule", "every"]),
+    ("randomized_spline", "randomized_ate", 4000, ["--learner", "spline"]),
+    ("randomized_crossfit_knn_batch", "randomized_ate", 600,
+     ["--crossfit", "--learner", "knn", "--scoring", "batch"]),
     ("observational_crossfit_ensemble", "observational_ate", 1500,
      ["--mode", "observational", "--crossfit", "--learner", "ensemble"]),
     ("observational_crossfit_spline_batch", "observational_ate", 1500,
