@@ -119,9 +119,15 @@ def _columns(
     )
 
 
+def _warmup_gate(t_min: int) -> int:
+    """The first count with an interval: ``t_min``, but at least 2, as one
+    value has plug-in standard deviation 0 (a zero-width interval)."""
+    return max(t_min, 2)
+
+
 def default_boundary(alpha: float, t_min: int = 25) -> BoundarySpec:
     """Boundary with rho optimized for five times the warm-up gate."""
-    return BoundarySpec(alpha, tune_rho(alpha, 5 * t_min, "exact"))
+    return BoundarySpec(alpha, tune_rho(alpha, 5 * _warmup_gate(t_min), "exact"))
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,8 @@ class EngineConfig:
             raise DomainError(f"unknown scoring mode: {self.scoring!r}")
         if not 0.0 < self.clip_delta < 0.5:
             raise DomainError("clip_delta must lie in (0, 0.5)")
+        if self.t_min < 1:
+            raise DomainError(f"t_min must be >= 1, got {self.t_min}")
 
 
 @dataclass(frozen=True)
@@ -208,8 +216,6 @@ class _View:
             spec = self.config.learner
             if a.size < 2 * _COLD_START_MIN:
                 spec = LearnerSpec("mean_only")
-            elif spec.kind == "linear":
-                spec = LearnerSpec("logistic")  # the propensity counterpart
             try:
                 pi = fit_propensity(x, a, spec, self.config.clip_delta)
             except NotReady:
@@ -280,6 +286,7 @@ class AteEngine:
         if config.crossfit:
             self.views.append(_View(self.rows[EVAL], self.rows[TRAIN], config))
         self.dim: int | None = None  # covariate count, fixed by the first arrival
+        self._gate = _warmup_gate(config.t_min)
 
     def observe(self, z: Observation) -> EmitRow:
         # reject bad records before any state changes
@@ -326,7 +333,7 @@ class AteEngine:
             total1 += s1
             total2 += s2
             n += k
-        if n < max(self.config.t_min, 2):
+        if n < self._gate:
             raise NotReady("below the warm-up gate")
         estimate = mean_sum / len(self.views)
         pooled_mean = total1 / n
@@ -354,7 +361,7 @@ class UnadjustedEstimator:
             raise DomainError(f"unknown mode: {mode!r}")
         self.boundary = boundary
         self.mode = mode
-        self.t_min = t_min
+        self._gate = _warmup_gate(t_min)
         self.t = 0
         self.n_treated = 0
         self._s1y = 0.0
@@ -404,7 +411,7 @@ class UnadjustedEstimator:
         return max(second - est * est, 0.0)
 
     def current_point(self) -> CsPoint:
-        if self.t < max(self.t_min, 2):
+        if self.t < self._gate:
             raise NotReady("below the warm-up gate")
         est = self.estimate()
         var = self.var_hat()
@@ -419,12 +426,14 @@ def general_cs(
 
     The caller supplies the stream of influence values; the sequence is
     the running mean with the normal mixture radius at the running
-    standard deviation, the same machinery as the ATE path.
+    standard deviation, the same machinery as the ATE path. The first
+    point is at ``max(t_min, 2)``.
     """
+    gate = _warmup_gate(t_min)
     stats = RunningMoments()
     for phi in phi_values:
         stats = stats.push(phi)
-        if stats.count < t_min:
+        if stats.count < gate:
             continue
         var = stats.variance()
         radius = mixture_radius(stats.count, math.sqrt(var), spec)

@@ -18,7 +18,7 @@ from .ate import AteEngine, EngineConfig, default_boundary
 from .boundaries import BoundarySpec, tune_rho
 from .io import OUTPUT_HEADER, ParseError, format_row, parse_observation
 from .numerics import DataError, DomainError, SeedSpec
-from .nuisance import LearnerSpec
+from .nuisance import _KINDS as LEARNER_KINDS, LearnerSpec
 from .simlab import (
     SimScenario,
     run_ate_miscoverage,
@@ -71,9 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="randomized")
     mon.add_argument("--crossfit", action="store_true")
     mon.add_argument("--scoring", choices=["batch", "online"], default="online")
-    mon.add_argument("--learner",
-                     choices=["mean_only", "linear", "knn", "spline", "ensemble"],
-                     default="ensemble")
+    mon.add_argument("--learner", choices=LEARNER_KINDS, default="ensemble")
     mon.add_argument("--knn-k", type=int, default=10)
     mon.add_argument("--clip-delta", type=float, default=0.01)
     mon.add_argument("--t-min", type=int, default=25)
@@ -97,9 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--comparator", choices=["cs", "ci"], default="cs",
                      help="gaussian_mean only: confidence sequence or "
                      "fixed-time CI")
-    sim.add_argument("--learner",
-                     choices=["mean_only", "linear", "knn", "spline", "ensemble"],
-                     default="ensemble")
+    sim.add_argument("--learner", choices=LEARNER_KINDS, default="ensemble")
     sim.add_argument("--knn-k", type=int, default=10)
     sim.add_argument("--no-crossfit", action="store_true")
     sim.add_argument("--seed", type=int, default=0)

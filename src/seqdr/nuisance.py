@@ -1,10 +1,10 @@
 """Pluggable nuisance learners: outcome regressions and propensity scores.
 
-Provides mean-only, linear (tiny ridge), k-nearest-neighbour, logistic
-(IRLS) and regression-spline learners, plus a simplex-weighted stacked
-ensemble that tunes its weights on a held-out tail of the training data.
-All fitted predictors are pure functions of their input: the same x
-always produces the same output.
+Provides mean-only, linear, k-nearest-neighbour and regression-spline
+learners, plus a simplex-weighted stacked ensemble tuned on a held-out
+tail of the training data. The task picks the link: ``linear`` and
+``spline`` fit least squares for outcomes and IRLS logistic regression
+for propensities. Fitted predictors are pure functions of their input.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ __all__ = [
     "project_simplex",
 ]
 
-_KINDS = ("mean_only", "linear", "logistic", "knn", "spline", "ensemble")
+_KINDS = ("mean_only", "linear", "knn", "spline", "ensemble")
 
 # knot placement for the spline basis, as quantiles of the training data
 _SPLINE_KNOT_QS = (0.25, 0.5, 0.75)
@@ -58,14 +58,13 @@ class LearnerSpec:
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
 
-    def resolved_candidates(self, task: str) -> tuple["LearnerSpec", ...]:
+    def resolved_candidates(self) -> tuple["LearnerSpec", ...]:
         """Candidate list for the ensemble: a misspecified parametric model
         next to two flexible nonparametric ones (an additive regression
         spline and k-nearest-neighbour)."""
-        parametric = "logistic" if task == "propensity" else "linear"
         return (
             LearnerSpec("mean_only"),
-            replace(self, kind=parametric),
+            replace(self, kind="linear"),
             replace(self, kind="spline"),
             replace(self, kind="knn"),
         )
@@ -83,12 +82,19 @@ class NuisanceFit:
     clip_delta: float = 0.01
 
 
+def _as_matrix(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    return x
+
+
 class _MeanPredictor:
     def __init__(self, value: float):
         self.value = float(value)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _as_matrix(x)
         return np.full(x.shape[0], self.value)
 
 
@@ -98,7 +104,7 @@ class _LinearPredictor:
         self.coef = np.asarray(coef, dtype=float)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _as_matrix(x)
         return self.intercept + x @ self.coef
 
 
@@ -109,7 +115,7 @@ class _KnnPredictor:
         self.k = min(k, len(ys))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _as_matrix(x)
         if self.k == len(self.ys):
             return np.full(x.shape[0], self.ys.mean())
         if x.shape[0] > _KNN_CHUNK:
@@ -135,7 +141,7 @@ class _LogisticPredictor:
         self.coef = np.asarray(coef, dtype=float)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _as_matrix(x)
         z = np.clip(self.intercept + x @ self.coef, -700.0, 700.0)
         out = np.empty_like(z)
         pos = z >= 0
@@ -154,7 +160,7 @@ class _SplineBasis:
         self.knots = np.asarray(knots, dtype=float)  # shape (d, n_knots)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _as_matrix(x)
         cols = [x, x * x]
         for j in range(x.shape[1]):
             cols.append(np.maximum(0.0, x[:, j : j + 1] - self.knots[j]))
@@ -185,19 +191,12 @@ class _StackedPredictor:
         self.weights = np.asarray(weights, dtype=float)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _as_matrix(x)
         out = np.zeros(x.shape[0])
         for w, p in zip(self.weights, self.predictors):
             if w > 0.0:
                 out += w * p(x)
         return out
-
-
-def _as_matrix(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    return x
 
 
 def _fit_linear(x: np.ndarray, y: np.ndarray, ridge: float) -> _LinearPredictor:
@@ -234,6 +233,13 @@ def _fit_logistic(x: np.ndarray, labels: np.ndarray, ridge: float) -> _LogisticP
         if np.abs(step).max() < _IRLS_TOL:
             break
     return _LogisticPredictor(beta[0], beta[1:])
+
+
+def _fit_link(x: np.ndarray, y: np.ndarray, ridge: float, task: str):
+    """Least squares for outcomes, logistic regression for propensities."""
+    if task == "propensity":
+        return _fit_logistic(x, y, ridge)
+    return _fit_linear(x, y, ridge)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -320,11 +326,9 @@ def _fit_single(
     if spec.kind == "mean_only":
         return _MeanPredictor(float(np.mean(y)))
     if spec.kind == "linear":
-        return _fit_linear(x, y, _RIDGE)
+        return _fit_link(x, y, _RIDGE, task)
     if spec.kind == "knn":
         return _KnnPredictor(_as_matrix(x), y, spec.k)
-    if spec.kind == "logistic":
-        return _fit_logistic(x, y, _RIDGE)
     if spec.kind == "spline":
         xm = _as_matrix(x)
         knots = np.quantile(xm, _SPLINE_KNOT_QS, axis=0).T
@@ -334,12 +338,14 @@ def _fit_single(
         # column before trusting it
         if xb.shape[0] < 4 * xb.shape[1]:
             raise NotReady("spline basis needs more rows than available")
-        if task == "propensity":
-            inner = _fit_logistic(xb, y, _SPLINE_RIDGE)
-        else:
-            inner = _fit_linear(xb, y, _SPLINE_RIDGE)
-        return _BasisPredictor(basis, inner)
+        return _BasisPredictor(basis, _fit_link(xb, y, _SPLINE_RIDGE, task))
     raise DomainError(f"{spec.kind!r} is not a base learner")
+
+
+def _fit(x: np.ndarray, y: np.ndarray, spec: LearnerSpec, task: str):
+    if spec.kind == "ensemble":
+        return fit_ensemble(x, y, spec.resolved_candidates(), task)[0]
+    return _fit_single(x, y, spec, task)
 
 
 def fit_outcome(x: np.ndarray, y: np.ndarray, spec: LearnerSpec):
@@ -347,11 +353,7 @@ def fit_outcome(x: np.ndarray, y: np.ndarray, spec: LearnerSpec):
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise NotReady("no training observations in this arm")
-    if spec.kind == "ensemble":
-        return fit_ensemble(x, y, spec.resolved_candidates("outcome"), "outcome")[0]
-    if spec.kind == "logistic":
-        raise DomainError("logistic is a propensity learner, not a regression")
-    return _fit_single(x, y, spec, "outcome")
+    return _fit(x, y, spec, "outcome")
 
 
 def fit_propensity(
@@ -361,14 +363,7 @@ def fit_propensity(
     labels = np.asarray(labels, dtype=float)
     if labels.size == 0 or labels.min() == labels.max():
         raise NotReady("propensity fitting needs both treatment labels")
-    if spec.kind == "ensemble":
-        candidates = spec.resolved_candidates("propensity")
-        inner = fit_ensemble(x, labels, candidates, "propensity")[0]
-    elif spec.kind == "linear":
-        raise DomainError("linear is a regression learner, not a propensity model")
-    else:
-        inner = _fit_single(x, labels, spec, "propensity")
-    return _ClippedPredictor(inner, clip_delta)
+    return _ClippedPredictor(_fit(x, labels, spec, "propensity"), clip_delta)
 
 
 def fit_ensemble(

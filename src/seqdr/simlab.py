@@ -22,6 +22,7 @@ from .ate import (
     EngineConfig,
     Observation,
     UnadjustedEstimator,
+    _warmup_gate,
     default_boundary,
 )
 from .boundaries import BoundarySpec, fixed_ci_radius, mixture_radius, tune_rho
@@ -46,17 +47,20 @@ _KINDS = ("gaussian_mean", "randomized_ate", "observational_ate")
 _DATA_STREAM = 1_000_000
 _SPLIT_STREAM = 2_000_000
 
+# the treatment effect, the mean of the unit-variance Gaussian stream,
+# and the multiples of t_opt in width_table
+_PSI_TRUE = 1.0
+_GAUSSIAN_MEAN = 0.4
+_WIDTH_GRID = (1.0, 2.0, 5.0, 10.0, 100.0)
+
 
 @dataclass(frozen=True)
 class SimScenario:
-    """One simulation setting: process kind, horizon, target value, seed;
-    ``gaussian_mean`` is the mean of the unit-variance Gaussian stream."""
+    """One simulation setting: process kind, horizon and seed."""
 
     kind: str
     n: int = 4000
-    psi_true: float = 1.0
     seed: SeedSpec = field(default_factory=lambda: SeedSpec(0))
-    gaussian_mean: float = 0.4
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -145,7 +149,7 @@ def generate_stream(scenario: SimScenario, rep: int = 0):
     rng = SeedSpec(scenario.seed.master_seed, _DATA_STREAM + rep).rng()
     n = scenario.n
     if scenario.kind == "gaussian_mean":
-        y = scenario.gaussian_mean + rng.standard_normal(n)
+        y = _GAUSSIAN_MEAN + rng.standard_normal(n)
         return None, None, y, None
     x = rng.standard_normal((n, 3))
     x1, x2, x3 = x.T
@@ -156,7 +160,7 @@ def generate_stream(scenario: SimScenario, rep: int = 0):
         pi = observational_propensity(x1, x2, x3)
         known = None
     a = (rng.random(n) < pi).astype(int)
-    y = mu_star(x1, x2, x3) + scenario.psi_true * a + _t5_noise(rng, n)
+    y = mu_star(x1, x2, x3) + _PSI_TRUE * a + _t5_noise(rng, n)
     return x, a, y, known
 
 
@@ -172,16 +176,17 @@ def run_miscoverage(
     fixed-time CI comparator) on Gaussian-mean streams.
 
     A replication counts as miscovered at time t if the target fell
-    outside the interval at any emission time in [t_start, t]. The
-    sequence uses the sample standard deviation at each step.
+    outside the interval at any emission time in [max(t_start, 2), t].
+    The sequence uses the sample standard deviation at each step.
     """
     if scenario.kind != "gaussian_mean":
         raise DomainError("run_miscoverage drives gaussian_mean scenarios")
     if reps < 1:
         raise DomainError("reps must be >= 1")
     n = scenario.n
-    if not 1 <= t_start <= n:
-        raise DomainError(f"t_start must lie in [1, n={n}], got {t_start}")
+    gate = _warmup_gate(t_start)
+    if t_start < 1 or gate > n:
+        raise DomainError(f"t_start must lie in [1, n={n}], n >= 2, got {t_start}")
     spec = default_boundary(alpha, t_start) if rho is None else BoundarySpec(alpha, rho)
 
     y = np.empty((reps, n))
@@ -203,8 +208,8 @@ def run_miscoverage(
         raise DomainError(f"unknown comparator: {comparator!r}")
     width = sd_hat * unit[None, :]
 
-    miss = np.abs(mu_hat - scenario.gaussian_mean) > width
-    miss[:, : t_start - 1] = False
+    miss = np.abs(mu_hat - _GAUSSIAN_MEAN) > width
+    miss[:, : gate - 1] = False
     cum_missed = np.maximum.accumulate(miss, axis=1)
     return MonteCarloReport(
         reps=reps,
@@ -242,17 +247,17 @@ def _run_unadjusted_rep(scenario: SimScenario, boundary, t_min, rep: int):
     return points
 
 
-def _summarize_points(points, psi_true) -> RepSummary:
+def _summarize_points(points) -> RepSummary:
     emitted = [p for p in points if p is not None]
     if not emitted:
         return RepSummary(math.nan, math.nan, False, False, 0)
-    uniform = all(p.lower <= psi_true <= p.upper for p in emitted)
+    uniform = all(p.lower <= _PSI_TRUE <= p.upper for p in emitted)
     last = emitted[-1]
     return RepSummary(
         final_estimate=last.estimate,
         final_width=2.0 * last.radius,
         uniform_coverage=uniform,
-        final_coverage=last.lower <= psi_true <= last.upper,
+        final_coverage=last.lower <= _PSI_TRUE <= last.upper,
         n_emitted=len(emitted),
     )
 
@@ -284,7 +289,7 @@ def run_ate_miscoverage(
             if p is None:
                 missed[rep, i] = seen_miss
                 continue
-            if not p.lower <= scenario.psi_true <= p.upper:
+            if not p.lower <= _PSI_TRUE <= p.upper:
                 seen_miss = True
             missed[rep, i] = seen_miss
             width_sum[i] += 2.0 * p.radius
@@ -329,25 +334,18 @@ def run_ate_study(
             else:
                 rows = _run_engine_rep(scenario, config, rep)
                 points = [r.point for r in rows]
-            out[name].append(_summarize_points(points, scenario.psi_true))
+            out[name].append(_summarize_points(points))
     return out
 
 
-def width_table(
-    alpha: float, t_opts: list[int], t_grid: list[float] | None = None
-) -> list[dict]:
-    """CS-to-CI width ratios with rho optimized exactly for each t_opt.
-
-    ``t_grid`` gives multiples of t_opt at which to evaluate the ratio;
-    the ratio at the optimized time itself is always included.
-    """
-    if t_grid is None:
-        t_grid = [1.0, 2.0, 5.0, 10.0, 100.0]
+def width_table(alpha: float, t_opts: list[int]) -> list[dict]:
+    """CS-to-CI width ratios with rho optimized exactly for each t_opt,
+    at t = t_opt and at 2, 5, 10 and 100 times it."""
     rows = []
     for t_opt in t_opts:
         rho = tune_rho(alpha, t_opt, "exact")
         spec = BoundarySpec(alpha, rho)
-        for mult in t_grid:
+        for mult in _WIDTH_GRID:
             t = max(1, int(round(mult * t_opt)))
             ratio = mixture_radius(t, 1.0, spec) / fixed_ci_radius(t, 1.0, alpha)
             rows.append(

@@ -307,6 +307,12 @@ class TestGeneralCs:
         assert last.estimate == pytest.approx(4.0)
         assert last.radius == pytest.approx(0.0, abs=1e-12)
 
+    def test_first_point_at_t_2(self):
+        # at t = 1 the plug-in sd is 0 and the interval would have zero width
+        points = list(general_cs([1.0, 2.0, 3.0], BoundarySpec(0.1, 0.5)))
+        assert [p.t for p in points] == [2, 3]
+        assert points[0].radius > 0.0
+
     def test_reproduces_engine_interval(self):
         # feeding the engine's scored influence values through the generic
         # wrapper must give the same interval (same formula path)

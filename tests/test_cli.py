@@ -180,6 +180,7 @@ class TestMonitorCommand:
         ([], "abc"),
         (["--seed", "-1"], None),
         ([], "-1"),
+        (["--t-min", "0"], None),
     ])
     def test_bad_setting_exit_2(self, tmp_path, monkeypatch, capsys,
                                 extra, seed_env):

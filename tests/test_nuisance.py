@@ -104,6 +104,11 @@ class TestLearnerSpec:
         with pytest.raises(DomainError):
             LearnerSpec("forest")
 
+    def test_rejects_logistic_kind(self):
+        # the parametric family is one kind, "linear"; the task picks its link
+        with pytest.raises(DomainError):
+            LearnerSpec("logistic")
+
     @pytest.mark.parametrize("k", [0, -3])
     def test_rejects_k_below_one(self, k):
         with pytest.raises(DomainError):
@@ -149,9 +154,15 @@ class TestFitOutcome:
         q = rng.standard_normal((5, 2))
         assert np.array_equal(pred(q), pred(q))
 
-    def test_logistic_rejected_for_regression(self):
-        with pytest.raises(DomainError):
-            fit_outcome(np.zeros((4, 1)), np.ones(4), LearnerSpec("logistic"))
+    @pytest.mark.parametrize("kind", ["mean_only", "linear", "knn", "spline",
+                                      "ensemble"])
+    def test_1d_query_is_one_covariate(self, kind):
+        # the fitters read a 1-D x as n rows of one covariate; so do the
+        # predictors
+        x = np.linspace(-1, 1, 50)
+        pred = fit_outcome(x, 2.0 * x + 1.0, LearnerSpec(kind))
+        q = np.array([0.1, 0.2, 0.3])
+        assert pred(q).tobytes() == pred(q[:, None]).tobytes()
 
     def test_knn_k1_returns_training_point_exactly(self):
         x = np.array([[0.0], [1.0], [2.5]])
@@ -202,33 +213,38 @@ class TestFitPropensity:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2000, 3))
         labels = np.tile([0, 1], 1000)
-        pred = fit_propensity(x, labels, LearnerSpec("logistic"))
+        pred = fit_propensity(x, labels, LearnerSpec("linear"))
         at_mean = float(pred(x.mean(axis=0)[None, :])[0])
         assert abs(at_mean - 0.5) < 0.05
 
     def test_clipping_contract(self):
         x = np.linspace(-5, 5, 200)[:, None]
         labels = (x[:, 0] > 0).astype(float)
-        pred = fit_propensity(x, labels, LearnerSpec("logistic"))
+        pred = fit_propensity(x, labels, LearnerSpec("linear"))
         out = pred(np.array([[-100.0], [100.0]]))
         assert np.all(out >= 0.01) and np.all(out <= 0.99)
 
     def test_separable_data_stays_finite(self):
         x = np.concatenate([np.full(30, -1.0), np.full(30, 1.0)])[:, None]
         labels = np.concatenate([np.zeros(30), np.ones(30)])
-        pred = fit_propensity(x, labels, LearnerSpec("logistic"))
+        pred = fit_propensity(x, labels, LearnerSpec("linear"))
         out = pred(x)
         assert np.all(np.isfinite(out))
         assert np.all((out >= 0.01) & (out <= 0.99))
 
     def test_single_class_not_ready(self):
         with pytest.raises(NotReady):
-            fit_propensity(np.zeros((5, 1)), np.ones(5), LearnerSpec("logistic"))
+            fit_propensity(np.zeros((5, 1)), np.ones(5), LearnerSpec("linear"))
 
-    def test_linear_rejected_for_propensity(self):
-        with pytest.raises(DomainError):
-            fit_propensity(np.zeros((4, 1)), np.array([0, 1, 0, 1]),
-                           LearnerSpec("linear"))
+    def test_linear_is_clipped_logistic_fit(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((300, 2))
+        labels = (rng.random(300) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(float)
+        pred = fit_propensity(x, labels, LearnerSpec("linear"), clip_delta=0.05)
+        q = rng.standard_normal((40, 2)) * 3.0
+        want = np.clip(nuisance._fit_logistic(x, labels, nuisance._RIDGE)(q),
+                       0.05, 0.95)
+        assert pred(q).tobytes() == want.tobytes()
 
     def test_spline_propensity_tracks_smooth_score(self):
         rng = np.random.default_rng(10)
@@ -327,7 +343,7 @@ class TestFitEnsemble:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((200, 2))
         y = x[:, 0] + rng.standard_normal(200)
-        cands = LearnerSpec("ensemble").resolved_candidates("outcome")
+        cands = LearnerSpec("ensemble").resolved_candidates()
         pred, w = fit_ensemble(x, y, cands)
         assert w.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.all(w >= -1e-10)
@@ -337,7 +353,7 @@ class TestFitEnsemble:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((400, 3))
         y = 1.0 - x[:, 0] ** 2 + 0.5 * rng.standard_normal(400)
-        cands = LearnerSpec("ensemble").resolved_candidates("outcome")
+        cands = LearnerSpec("ensemble").resolved_candidates()
         pred, w = fit_ensemble(x, y, cands)
         n = y.size
         split = int(np.floor(0.8 * n))
@@ -361,21 +377,27 @@ class TestFitEnsemble:
         assert w[1] > 0.9  # (mean_only, linear, knn) candidate order
 
     def test_default_candidates_include_spline(self):
-        kinds = [c.kind for c in
-                 LearnerSpec("ensemble").resolved_candidates("outcome")]
+        # one list for both tasks: each candidate fits the task's link
+        kinds = [c.kind for c in LearnerSpec("ensemble").resolved_candidates()]
         assert kinds == ["mean_only", "linear", "spline", "knn"]
-        kinds = [c.kind for c in
-                 LearnerSpec("ensemble").resolved_candidates("propensity")]
-        assert kinds == ["mean_only", "logistic", "spline", "knn"]
 
     def test_too_small_not_ready(self):
         with pytest.raises(NotReady):
             fit_ensemble(np.zeros((6, 1)), np.zeros(6),
-                         LearnerSpec("ensemble").resolved_candidates("outcome"))
+                         LearnerSpec("ensemble").resolved_candidates())
 
     def test_no_candidates_domain_error(self):
         with pytest.raises(DomainError):
             fit_ensemble(np.zeros((30, 1)), np.zeros(30), ())
+
+    @pytest.mark.parametrize("task", ["outcome", "propensity"])
+    def test_ensemble_candidate_domain_error(self, task):
+        x = np.arange(30.0)[:, None]
+        labels = np.tile([0.0, 1.0], 15)
+        for cands in ((LearnerSpec("ensemble"),),
+                      (LearnerSpec("linear"), LearnerSpec("ensemble"))):
+            with pytest.raises(DomainError):
+                fit_ensemble(x, labels, cands, task)
 
     def test_propensity_stack_is_probability(self):
         rng = np.random.default_rng(7)

@@ -87,12 +87,11 @@ class TestGenerateStream:
         assert abs(np.var(eps) - 5.0 / 3.0) < 0.1
 
     def test_treatment_effect_embedded(self):
-        sc = SimScenario(kind="randomized_ate", n=200_000, seed=SeedSpec(5),
-                         psi_true=2.5)
+        sc = SimScenario(kind="randomized_ate", n=200_000, seed=SeedSpec(5))
         x, a, y, _ = generate_stream(sc, 0)
         mu = 1.0 - x[:, 0] ** 2 - 2.0 * np.sin(x[:, 1]) + 3.0 * np.abs(x[:, 2])
         gap = (y - mu)[a == 1].mean() - (y - mu)[a == 0].mean()
-        assert abs(gap - 2.5) < 0.05
+        assert abs(gap - 1.0) < 0.05
 
     def test_influence_sd_closed_form(self):
         # With arm-mean outcome models and pi = 0.5 the influence value is
@@ -150,6 +149,18 @@ class TestRunMiscoverage:
         with pytest.raises(DomainError):
             run_miscoverage(SimScenario(kind="randomized_ate"), 0.1, 25, 2)
 
+    def test_start_1_checks_from_t_2(self, tmp_path):
+        # one value has plug-in sd 0, so the interval at t = 1 has zero
+        # width; the warm-up gate is max(t_start, 2) as in the engine
+        sc = SimScenario(kind="gaussian_mean", n=500, seed=SeedSpec(18))
+        paths = []
+        for t_start in (1, 2):
+            rep = run_miscoverage(sc, 0.1, t_start, reps=50)
+            paths.append(tmp_path / f"s{t_start}.csv")
+            rep.to_csv(paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert rep.cumulative_miscoverage_by_t[-1] < 0.5
+
 
 class TestAteStudies:
     def test_study_and_report(self):
@@ -178,23 +189,25 @@ class TestAteStudies:
 
 class TestWidthTable:
     def test_ratio_at_t_opt(self):
-        rows = width_table(0.05, [100], t_grid=[1.0])
+        rows = width_table(0.05, [100])
+        assert rows[0]["t"] == 100
         assert rows[0]["cs_ci_ratio"] == pytest.approx(1.549, abs=0.005)
 
     def test_ratio_independent_of_t_opt(self):
         # rho^2 scales as 1/t_opt so the ratio at t = t_opt is constant
-        r1 = width_table(0.05, [50], t_grid=[1.0])[0]["cs_ci_ratio"]
-        r2 = width_table(0.05, [5000], t_grid=[1.0])[0]["cs_ci_ratio"]
+        r1 = width_table(0.05, [50])[0]["cs_ci_ratio"]
+        r2 = width_table(0.05, [5000])[0]["cs_ci_ratio"]
         assert r1 == pytest.approx(r2, rel=1e-9)
 
     def test_ratio_diverges(self):
-        rows = width_table(0.05, [100], t_grid=[1.0, 100.0])
-        assert rows[1]["cs_ci_ratio"] > rows[0]["cs_ci_ratio"]
+        rows = width_table(0.05, [100])
+        assert rows[-1]["t"] == 10_000
+        assert rows[-1]["cs_ci_ratio"] > rows[0]["cs_ci_ratio"]
 
     def test_matches_direct_chain(self):
         alpha, t_opt = 0.1, 200
         rho = tune_rho(alpha, t_opt, "exact")
         want = mixture_radius(t_opt, 1.0, BoundarySpec(alpha, rho)) / \
             fixed_ci_radius(t_opt, 1.0, alpha)
-        got = width_table(alpha, [t_opt], t_grid=[1.0])[0]["cs_ci_ratio"]
+        got = width_table(alpha, [t_opt])[0]["cs_ci_ratio"]
         assert got == pytest.approx(want, rel=1e-12)

@@ -7,7 +7,7 @@ equal line for line:
 
     diff <(python3 tools/replay_digest.py) <(python3 tools/replay_digest.py ../other)
 
-The replays are nine ``seqdr monitor`` flag sets on generated streams,
+The replays are ten ``seqdr monitor`` flag sets on generated streams,
 ``seqdr width-table`` at two levels, and ``run_ate_study`` on the
 observational ensemble and unadjusted arms at three master seeds.
 BLAS is pinned to one thread, and ``SEQDR_SEED`` is ignored.
@@ -53,6 +53,8 @@ MONITOR_RUNS = [
      ["--crossfit", "--learner", "knn", "--scoring", "batch"]),
     ("observational_crossfit_ensemble", "observational_ate", 1500,
      ["--mode", "observational", "--crossfit", "--learner", "ensemble"]),
+    ("observational_crossfit_linear", "observational_ate", 1500,
+     ["--mode", "observational", "--crossfit", "--learner", "linear"]),
     ("observational_crossfit_spline_batch", "observational_ate", 1500,
      ["--mode", "observational", "--crossfit", "--learner", "spline",
       "--scoring", "batch"]),
