@@ -63,27 +63,30 @@ class Observation:
         object.__setattr__(self, "x", x)
 
 
-def eval_influence(z: Observation, fit: NuisanceFit) -> float:
-    """Uncentered efficient influence value for one observation.
+def _influence(m1, m0, pi, a, y):
+    """Uncentered efficient influence value, elementwise over floats or
+    arrays:
 
     f(z) = {mu1(x) - mu0(x)}
            + (a / pi(x) - (1 - a) / (1 - pi(x))) * (y - mu_a(x))
+    """
+    return (m1 - m0) + (a / pi - (1 - a) / (1.0 - pi)) * (y - (a * m1 + (1 - a) * m0))
+
+
+def eval_influence(z: Observation, fit: NuisanceFit) -> float:
+    """Influence value of one observation under ``fit``.
 
     Known propensities (randomized designs) take precedence over a
     fitted propensity model when ``fit.pi`` is None.
     """
     x = z.x[None, :]
-    m1 = float(fit.mu1(x)[0])
-    m0 = float(fit.mu0(x)[0])
     if fit.pi is None:
         if z.known_pi is None:
             raise DomainError("no propensity available for this observation")
         pi = min(max(z.known_pi, fit.clip_delta), 1.0 - fit.clip_delta)
     else:
         pi = float(fit.pi(x)[0])
-    resid = z.y - (m1 if z.a == 1 else m0)
-    weight = z.a / pi - (1 - z.a) / (1.0 - pi)
-    return (m1 - m0) + weight * resid
+    return _influence(float(fit.mu1(x)[0]), float(fit.mu0(x)[0]), pi, z.a, z.y)
 
 
 def _score_batch(
@@ -93,16 +96,14 @@ def _score_batch(
     known_pi: np.ndarray,
     fit: NuisanceFit,
 ) -> np.ndarray:
-    """Vectorized influence evaluation over stored records."""
-    m1 = fit.mu1(x)
-    m0 = fit.mu0(x)
+    """Influence values of stored records, as :func:`eval_influence`."""
     if fit.pi is None:
+        if np.isnan(known_pi).any():
+            raise DomainError("no propensity available for this observation")
         pi = np.clip(known_pi, fit.clip_delta, 1.0 - fit.clip_delta)
     else:
         pi = fit.pi(x)
-    resid = y - np.where(a == 1, m1, m0)
-    weight = a / pi - (1 - a) / (1.0 - pi)
-    return (m1 - m0) + weight * resid
+    return _influence(fit.mu1(x), fit.mu0(x), pi, a, y)
 
 
 def _columns(
@@ -363,30 +364,24 @@ class UnadjustedEstimator:
         self.mode = mode
         self._gate = _warmup_gate(t_min)
         self.t = 0
-        self.n_treated = 0
-        self._s1y = 0.0
-        self._s0y = 0.0
-        self._s1y2 = 0.0
-        self._s0y2 = 0.0
+        # observational sums per arm, indexed by treatment
+        self._n = [0, 0]
+        self._sum = [0.0, 0.0]
+        self._sumsq = [0.0, 0.0]
         self._known = RunningMoments()
 
-    def update(self, a: int, y: float, known_pi: float | None = None) -> CsPoint | None:
-        if a not in (0, 1):
-            raise DataError(f"treatment must be 0 or 1, got {a!r}")
-        if self.mode == RANDOMIZED and known_pi is None:
-            raise DataError("randomized mode requires a known propensity")
-        self.t += 1
+    def update(self, z: Observation) -> CsPoint | None:
+        # a rejected record changes no state
         if self.mode == RANDOMIZED:
-            g = (a / known_pi - (1 - a) / (1.0 - known_pi)) * y
-            self._known = self._known.push(g)
+            if z.known_pi is None:
+                raise DataError("randomized mode requires a known propensity")
+            # AIPW with zero outcome models
+            self._known = self._known.push(_influence(0.0, 0.0, z.known_pi, z.a, z.y))
         else:
-            self.n_treated += a
-            if a == 1:
-                self._s1y += y
-                self._s1y2 += y * y
-            else:
-                self._s0y += y
-                self._s0y2 += y * y
+            self._n[z.a] += 1
+            self._sum[z.a] += z.y
+            self._sumsq[z.a] += z.y * z.y
+        self.t += 1
         try:
             return self.current_point()
         except NotReady:
@@ -397,17 +392,17 @@ class UnadjustedEstimator:
             raise NotReady("no observations yet")
         if self.mode == RANDOMIZED:
             return self._known.mean
-        if self.n_treated in (0, self.t):
+        if self._n[1] in (0, self.t):
             raise NotReady("observational mode needs both arms observed")
-        pbar = self.n_treated / self.t
-        return (self._s1y / pbar - self._s0y / (1.0 - pbar)) / self.t
+        pbar = self._n[1] / self.t
+        return (self._sum[1] / pbar - self._sum[0] / (1.0 - pbar)) / self.t
 
     def var_hat(self) -> float:
         if self.mode == RANDOMIZED:
             return self._known.variance()
-        pbar = self.n_treated / self.t
+        pbar = self._n[1] / self.t
         est = self.estimate()
-        second = (self._s1y2 / pbar**2 + self._s0y2 / (1.0 - pbar) ** 2) / self.t
+        second = (self._sumsq[1] / pbar**2 + self._sumsq[0] / (1.0 - pbar) ** 2) / self.t
         return max(second - est * est, 0.0)
 
     def current_point(self) -> CsPoint:

@@ -214,8 +214,10 @@ def _cmd_width_table(args) -> int:
     try:
         t_opts = [int(p) for p in args.t_opts.split(",") if p.strip()]
     except ValueError:
+        t_opts = []
+    if not t_opts:
         raise DomainError(f"--t-opts must be comma-separated integers, "
-                          f"got {args.t_opts!r}") from None
+                          f"got {args.t_opts!r}")
     rows = width_table(args.alpha, t_opts)
     out = sys.stdout if args.out == "-" else open(args.out, "w")
     try:

@@ -106,9 +106,9 @@ class MonteCarloReport:
         }
 
     def to_json(self, path) -> None:
+        text = json.dumps(self.summary(), indent=2, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 @dataclass(frozen=True)
@@ -221,30 +221,24 @@ def run_miscoverage(
     )
 
 
-def _run_engine_rep(scenario: SimScenario, config: EngineConfig, rep: int):
-    """One replication of a DR engine over a generated stream."""
+def _observations(scenario: SimScenario, rep: int) -> list[Observation]:
+    """A replication's generated stream as the records every estimator reads."""
+    if scenario.kind == "gaussian_mean":
+        raise DomainError("ATE studies need an ATE scenario, got gaussian_mean")
     x, a, y, known = generate_stream(scenario, rep)
+    return [
+        Observation(x=x[i], a=int(a[i]), y=float(y[i]),
+                    known_pi=None if known is None else float(known[i]))
+        for i in range(scenario.n)
+    ]
+
+
+def _run_engine_rep(scenario: SimScenario, config: EngineConfig, rep: int,
+                    rows: list[Observation]):
+    """One replication of a DR engine over the replication's records."""
     seed = SeedSpec(scenario.seed.master_seed, _SPLIT_STREAM + rep)
     engine = AteEngine(replace(config, seed=seed))
-    rows = []
-    for i in range(scenario.n):
-        z = Observation(
-            x=x[i], a=int(a[i]), y=float(y[i]),
-            known_pi=None if known is None else float(known[i]),
-        )
-        rows.append(engine.observe(z))
-    return rows
-
-
-def _run_unadjusted_rep(scenario: SimScenario, boundary, t_min, rep: int):
-    x, a, y, known = generate_stream(scenario, rep)
-    mode = RANDOMIZED if scenario.kind == "randomized_ate" else OBSERVATIONAL
-    est = UnadjustedEstimator(boundary, mode=mode, t_min=t_min)
-    points = []
-    for i in range(scenario.n):
-        pi = None if known is None else float(known[i])
-        points.append(est.update(int(a[i]), float(y[i]), pi))
-    return points
+    return [engine.observe(z) for z in rows]
 
 
 def _summarize_points(points) -> RepSummary:
@@ -270,8 +264,6 @@ def run_ate_miscoverage(
     Per-time means of width and estimate average over the replications
     that had emitted an interval by that time (NaN before any emission).
     """
-    if scenario.kind == "gaussian_mean":
-        raise DomainError("run_ate_miscoverage drives ATE scenarios")
     if reps < 1:
         raise DomainError("reps must be >= 1")
     n = scenario.n
@@ -282,7 +274,7 @@ def run_ate_miscoverage(
     est_sum = np.zeros(n)
     emit_count = np.zeros(n)
     for rep in range(reps):
-        rows = _run_engine_rep(scenario, config, rep)
+        rows = _run_engine_rep(scenario, config, rep, _observations(scenario, rep))
         seen_miss = False
         for i, row in enumerate(rows):
             p = row.point
@@ -295,6 +287,8 @@ def run_ate_miscoverage(
             width_sum[i] += 2.0 * p.radius
             est_sum[i] += p.estimate
             emit_count[i] += 1
+    if emit_count[-1] == 0:
+        raise DomainError(f"no replication emitted an interval by t = n = {n}")
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_width = np.where(emit_count > 0, width_sum / emit_count, np.nan)
         mean_est = np.where(emit_count > 0, est_sum / emit_count, np.nan)
@@ -316,8 +310,8 @@ def run_ate_study(
     """Run several estimators over the same generated streams.
 
     ``estimators`` maps a label either to an :class:`EngineConfig` or to
-    the string ``"unadjusted"``. Streams are paired across estimators so
-    per-replication comparisons are meaningful.
+    the string ``"unadjusted"``. Every estimator reads the same records of
+    each replication, so per-replication comparisons are paired.
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
@@ -325,15 +319,17 @@ def run_ate_study(
     if any(c == "unadjusted" for c in estimators.values()) and not engine_cfgs:
         raise DomainError("the unadjusted comparator needs an engine config "
                           "to borrow its boundary from")
+    mode = RANDOMIZED if scenario.kind == "randomized_ate" else OBSERVATIONAL
     out: dict[str, list[RepSummary]] = {name: [] for name in estimators}
     for rep in range(reps):
+        rows = _observations(scenario, rep)
         for name, config in estimators.items():
             if config == "unadjusted":
                 ref = engine_cfgs[0]
-                points = _run_unadjusted_rep(scenario, ref.boundary, ref.t_min, rep)
+                est = UnadjustedEstimator(ref.boundary, mode=mode, t_min=ref.t_min)
+                points = [est.update(z) for z in rows]
             else:
-                rows = _run_engine_rep(scenario, config, rep)
-                points = [r.point for r in rows]
+                points = [r.point for r in _run_engine_rep(scenario, config, rep, rows)]
             out[name].append(_summarize_points(points))
     return out
 

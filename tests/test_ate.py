@@ -72,6 +72,12 @@ class TestEvalInfluence:
         with pytest.raises(DomainError):
             eval_influence(z, const_fit(1.0, 0.0, pi=None))
 
+    def test_batch_no_propensity_raises(self):
+        # a NaN propensity marks a record whose propensity is unknown
+        x, a, y, pi = np.zeros((2, 1)), np.array([1, 0]), np.ones(2), np.array([0.5, math.nan])
+        with pytest.raises(DomainError):
+            _score_batch(x, a, y, pi, const_fit(1.0, 0.0, pi=None))
+
 
 def feed(engine, rng, n, mode="randomized"):
     rows = []
@@ -248,42 +254,64 @@ class TestAteEngine:
         assert outs[0] == outs[1]
 
 
+def obs(a, y, pi=None):
+    return Observation(x=np.zeros(1), a=a, y=y, known_pi=pi)
+
+
 class TestUnadjusted:
     def test_hand_arithmetic_observational(self):
         est = UnadjustedEstimator(BoundarySpec(0.1, 0.3), mode="observational",
                                   t_min=1)
-        est.update(1, 3.0)
-        est.update(0, 1.0)
+        est.update(obs(1, 3.0))
+        est.update(obs(0, 1.0))
         # pbar = 1/2: (3 / 0.5 - 1 / 0.5) / 2 = 2
         assert est.estimate() == pytest.approx(2.0)
 
     def test_all_zero_outcomes(self):
         est = UnadjustedEstimator(BoundarySpec(0.1, 0.3), mode="observational")
         for a in (1, 0, 1, 0):
-            est.update(a, 0.0)
+            est.update(obs(a, 0.0))
         assert est.estimate() == pytest.approx(0.0)
 
     def test_hand_arithmetic_randomized(self):
         est = UnadjustedEstimator(BoundarySpec(0.1, 0.3), mode="randomized",
                                   t_min=1)
-        est.update(1, 5.0, 0.5)
-        est.update(1, 7.0, 0.5)
+        est.update(obs(1, 5.0, 0.5))
+        est.update(obs(1, 7.0, 0.5))
         # (1/2)(10 + 14) = 12
         assert est.estimate() == pytest.approx(12.0)
 
     def test_randomized_requires_known_pi(self):
         est = UnadjustedEstimator(BoundarySpec(0.1, 0.3), mode="randomized",
                                   t_min=1)
-        est.update(1, 5.0, 0.5)
+        est.update(obs(1, 5.0, 0.5))
         with pytest.raises(DataError):
-            est.update(0, 1.0)
+            est.update(obs(0, 1.0))
         # the rejected record left no trace
         assert est.t == 1 and est.estimate() == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("a,y,pi", [(1, 2.0, 0.0), (1, 2.0, 1.0), (0, 2.0, 1.5),
+                                        (1, math.nan, 0.5)])
+    def test_bad_record_rejected(self, a, y, pi):
+        est = UnadjustedEstimator(BoundarySpec(0.1, 0.3), mode="randomized")
+        with pytest.raises(DataError):
+            est.update(obs(a, y, pi))
+        assert est.t == 0
+
+    def test_overflowing_term_changes_nothing(self):
+        est = UnadjustedEstimator(BoundarySpec(0.1, 0.3), mode="randomized",
+                                  t_min=1)
+        est.update(obs(1, 5.0, 0.5))
+        # 1e308 / 0.1 overflows to inf
+        with pytest.raises(DataError):
+            est.update(obs(1, 1e308, 0.1))
+        assert est.t == 1 and est.estimate() == pytest.approx(10.0)
+        assert est.update(obs(1, 7.0, 0.5)).estimate == pytest.approx(12.0)
 
     def test_single_arm_not_ready(self):
         from seqdr.splitting import NotReady
         est = UnadjustedEstimator(BoundarySpec(0.1, 0.3), mode="observational")
-        est.update(1, 1.0)
+        est.update(obs(1, 1.0))
         with pytest.raises(NotReady):
             est.estimate()
 
@@ -294,7 +322,7 @@ class TestUnadjusted:
         for _ in range(5000):
             a = int(rng.random() < 0.5)
             y = 2.0 * a + rng.standard_normal()
-            point = est.update(a, y, 0.5) or point
+            point = est.update(obs(a, y, 0.5)) or point
         assert abs(point.estimate - 2.0) < 0.15
         assert point.lower <= 2.0 <= point.upper
 

@@ -239,7 +239,10 @@ class TestSimulateCommand:
                       ["--scenario", "randomized_ate", "--n", "10", "--t-min", "20"],
                       ["--scenario", "gaussian_mean", "--n", "10", "--t-min", "20"],
                       ["--scenario", "gaussian_mean", "--n", "500", "--t-min", "0",
-                       "--rho", "0.2"]):
+                       "--rho", "0.2"],
+                      # no replication reaches the gate: 13 evaluation rows of 26
+                      ["--scenario", "randomized_ate", "--n", "26", "--t-min", "26",
+                       "--learner", "mean_only", "--no-crossfit"]):
             code = main(["simulate", *extra, "--reps", "1",
                          "--out", str(tmp_path / "ra.csv")])
             assert code == 2, extra
@@ -278,8 +281,10 @@ class TestWidthTableCommand:
         assert float(first[5]) == pytest.approx(1.549, abs=0.005)
 
     def test_non_integer_t_opts_exit_2(self, capsys):
-        assert main(["width-table", "--alpha", "0.05", "--t-opts", "abc"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        # a non-integer entry, or no entry at all
+        for t_opts in ("abc", ","):
+            assert main(["width-table", "--alpha", "0.05", "--t-opts", t_opts]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), t_opts

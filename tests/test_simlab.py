@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,27 @@ class TestAteStudies:
         out = run_ate_study(sc, {"dr": cfg, "unadj": "unadjusted"}, reps=3)
         assert set(out) == {"dr", "unadj"}
         assert all(len(v) == 3 for v in out.values())
+
+    def test_one_stream_per_replication(self, monkeypatch):
+        # every estimator reads the records of one generated stream
+        import seqdr.simlab as simlab
+        calls = []
+        generate = simlab.generate_stream
+
+        def counted(scenario, rep=0):
+            calls.append(rep)
+            return generate(scenario, rep)
+
+        monkeypatch.setattr(simlab, "generate_stream", counted)
+        sc = SimScenario(kind="randomized_ate", n=60, seed=SeedSpec(13))
+        cfg = EngineConfig(boundary=default_boundary(0.1),
+                           learner=LearnerSpec("mean_only"), t_min=25)
+        estimators = {"dr": cfg, "dr_single": replace(cfg, crossfit=False),
+                      "unadj": "unadjusted"}
+        run_ate_study(sc, estimators, reps=2)
+        assert calls == [0, 1]
+        run_ate_miscoverage(sc, cfg, reps=2)
+        assert calls == [0, 1, 0, 1]
 
     def test_unadjusted_alone_rejected(self):
         sc = SimScenario(kind="randomized_ate", n=100, seed=SeedSpec(11))

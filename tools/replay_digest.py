@@ -8,8 +8,9 @@ equal line for line:
     diff <(python3 tools/replay_digest.py) <(python3 tools/replay_digest.py ../other)
 
 The replays are ten ``seqdr monitor`` flag sets on generated streams,
-``seqdr width-table`` at two levels, and ``run_ate_study`` on the
-observational ensemble and unadjusted arms at three master seeds.
+``seqdr width-table`` at two levels, ``run_ate_study`` on the
+observational ensemble and unadjusted arms at three master seeds, and
+``run_ate_study`` on the randomized linear and unadjusted arms at one.
 BLAS is pinned to one thread, and ``SEQDR_SEED`` is ignored.
 """
 
@@ -103,19 +104,25 @@ def main_digest() -> None:
                                 "--t-opts", "100,1000"])
             print(f"width_table_{alpha} {sha(got)}", flush=True)
 
-    config = seqdr.EngineConfig(
-        boundary=seqdr.default_boundary(0.1), mode="observational",
-        learner=seqdr.LearnerSpec("ensemble"), t_min=25)
-    estimators = {"ensemble": config, "unadjusted": "unadjusted"}
-    for seed in STUDY_SEEDS:
-        scenario = seqdr.SimScenario(kind="observational_ate", n=4000,
-                                     seed=seqdr.SeedSpec(seed))
+    boundary = seqdr.default_boundary(0.1)
+    observational = {
+        "ensemble": seqdr.EngineConfig(boundary=boundary, mode="observational",
+                                       learner=seqdr.LearnerSpec("ensemble"), t_min=25),
+        "unadjusted": "unadjusted"}
+    randomized = {
+        "linear": seqdr.EngineConfig(boundary=boundary,
+                                     learner=seqdr.LearnerSpec("linear"), t_min=25),
+        "unadjusted": "unadjusted"}
+    studies = [("observational", seed, observational) for seed in STUDY_SEEDS]
+    studies.append(("randomized", STUDY_SEEDS[0], randomized))
+    for kind, seed, estimators in studies:
+        scenario = seqdr.SimScenario(kind=f"{kind}_ate", n=4000, seed=seqdr.SeedSpec(seed))
         out = seqdr.run_ate_study(scenario, estimators, reps=1)
         fields = "".join(
             f"{name} {float(s.final_estimate).hex()} {float(s.final_width).hex()} "
             f"{s.uniform_coverage} {s.final_coverage} {s.n_emitted}\n"
             for name, summaries in out.items() for s in summaries)
-        print(f"study_observational_{seed} {sha(fields.encode())}", flush=True)
+        print(f"study_{kind}_{seed} {sha(fields.encode())}", flush=True)
 
 
 if __name__ == "__main__":
