@@ -51,10 +51,12 @@ class Observation:
     known_pi: float | None = None
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        x = np.asarray(self.x, dtype=float)
+        if x.ndim == 0:
+            x = x.reshape(1)
         if x.ndim != 1:
             raise DataError(f"covariates must be a flat list, got shape {x.shape}")
-        if not np.all(np.isfinite(x)) or not math.isfinite(self.y):
+        if not np.isfinite(x).all() or not math.isfinite(self.y):
             raise DataError("non-finite observation fields")
         if self.a not in (0, 1):
             raise DataError(f"treatment must be 0 or 1, got {self.a!r}")

@@ -113,6 +113,7 @@ class _KnnPredictor:
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.k = min(k, len(ys))
+        self.sq_norms = np.sum(self.xs * self.xs, axis=1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = _as_matrix(x)
@@ -127,12 +128,14 @@ class _KnnPredictor:
             ])
         # squared Euclidean distances, vectorized over query points
         d2 = (
-            np.sum(x * x, axis=1)[:, None]
+            (x * x).sum(axis=1)[:, None]
             - 2.0 * x @ self.xs.T
-            + np.sum(self.xs * self.xs, axis=1)[None, :]
+            + self.sq_norms[None, :]
         )
         idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-        return self.ys[idx].mean(axis=1)
+        # the add-reduce and true divide that np.mean runs, without its
+        # per-call overhead
+        return self.ys[idx].sum(axis=1) / self.k
 
 
 class _LogisticPredictor:
@@ -161,10 +164,9 @@ class _SplineBasis:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = _as_matrix(x)
-        cols = [x, x * x]
-        for j in range(x.shape[1]):
-            cols.append(np.maximum(0.0, x[:, j : j + 1] - self.knots[j]))
-        return np.hstack(cols)
+        # hinge column j * n_knots + q is max(0, x_j - knot_jq)
+        hinges = np.maximum(0.0, x[:, :, None] - self.knots[None])
+        return np.concatenate([x, x * x, hinges.reshape(x.shape[0], -1)], axis=1)
 
 
 class _BasisPredictor:
@@ -187,15 +189,15 @@ class _ClippedPredictor:
 
 class _StackedPredictor:
     def __init__(self, predictors: list, weights: np.ndarray):
-        self.predictors = predictors
-        self.weights = np.asarray(weights, dtype=float)
+        # zero-weight candidates are never called; the sum adds the rest
+        # in candidate order
+        self.terms = [(float(w), p) for w, p in zip(weights, predictors) if w > 0.0]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = _as_matrix(x)
         out = np.zeros(x.shape[0])
-        for w, p in zip(self.weights, self.predictors):
-            if w > 0.0:
-                out += w * p(x)
+        for w, p in self.terms:
+            out += w * p(x)
         return out
 
 

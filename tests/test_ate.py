@@ -43,6 +43,10 @@ class TestObservation:
         with pytest.raises(DataError, match="flat list"):
             Observation(x=np.zeros((1, 1)), a=1, y=0.0)
 
+    def test_scalar_covariate_is_one_element(self):
+        z = Observation(x=2, a=1, y=0.0)
+        assert z.x.shape == (1,) and z.x.dtype == float and z.x[0] == 2.0
+
 
 class TestEvalInfluence:
     def test_hand_substitution_treated(self):

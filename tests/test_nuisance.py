@@ -68,6 +68,23 @@ def _reference_tune_weights(preds, target, loss, delta):
     return best_w
 
 
+# Reference copies of the direct predictor arithmetic that the faster code
+# must reproduce bit for bit: the spline's per-coordinate hinge loop, and
+# k-NN distances that recompute the training norms on every call.
+def _reference_spline_basis(knots, x):
+    cols = [x, x * x]
+    for j in range(x.shape[1]):
+        cols.append(np.maximum(0.0, x[:, j : j + 1] - knots[j]))
+    return np.hstack(cols)
+
+
+def _reference_knn(xs, ys, k, q):
+    d2 = (np.sum(q * q, axis=1)[:, None] - 2.0 * q @ xs.T
+          + np.sum(xs * xs, axis=1)[None, :])
+    idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    return ys[idx].mean(axis=1)
+
+
 def _holdout_problems():
     """Synthetic tuning folds, (name, preds, target, loss): for each loss
     one whose best vertex is a fixed point of the step map and one with
@@ -180,11 +197,39 @@ class TestFitOutcome:
         if grid:
             xs, q = np.round(xs / grid) * grid, np.round(q / grid) * grid
         ys = rng.standard_normal(700)
-        d2 = (np.sum(q * q, axis=1)[:, None] - 2.0 * q @ xs.T
-              + np.sum(xs * xs, axis=1)[None, :])
-        idx = np.argpartition(d2, 9, axis=1)[:, :10]
         pred = fit_outcome(xs, ys, LearnerSpec("knn", k=10))
-        assert pred(q).tobytes() == ys[idx].mean(axis=1).tobytes()
+        assert pred(q).tobytes() == _reference_knn(xs, ys, 10, q).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("grid", [0.0, 0.5])
+    def test_knn_matches_recomputed_norms_bitwise(self, grid, k):
+        rng = np.random.default_rng(14)
+        xs = rng.standard_normal((700, 3))
+        q = rng.standard_normal((600, 3))
+        if grid:
+            xs, q = np.round(xs / grid) * grid, np.round(q / grid) * grid
+        ys = rng.standard_normal(700)
+        pred = fit_outcome(xs, ys, LearnerSpec("knn", k=k))
+        for i in range(40):
+            row = q[i : i + 1]
+            assert pred(row).tobytes() == _reference_knn(xs, ys, k, row).tobytes()
+        # a block larger than one chunk is scored chunk by chunk
+        chunk = nuisance._KNN_CHUNK
+        for block in (q[:7], q[:chunk], q):
+            want = np.concatenate([_reference_knn(xs, ys, k, block[i : i + chunk])
+                                   for i in range(0, len(block), chunk)])
+            assert pred(block).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 3000])
+    def test_spline_basis_matches_per_coordinate_loop(self, n, d):
+        rng = np.random.default_rng(15)
+        train = rng.standard_normal((200, d))
+        knots = np.quantile(train, nuisance._SPLINE_KNOT_QS, axis=0).T
+        x = rng.standard_normal((n, d))
+        x[0] = knots[:, 1]  # hinges exactly at a knot
+        got = nuisance._SplineBasis(knots)(x)
+        assert got.tobytes() == _reference_spline_basis(knots, x).tobytes()
 
     def test_spline_recovers_quadratic(self):
         rng = np.random.default_rng(8)
@@ -338,6 +383,27 @@ class TestFitEnsemble:
         pred, w = fit_ensemble(x, y, (LearnerSpec("linear"),))
         assert np.allclose(w, [1.0])
         assert float(pred(np.array([[4.0]]))[0]) == pytest.approx(12.0, abs=1e-6)
+
+    def test_stack_skips_zero_weights_and_sums_in_order(self):
+        calls = []
+
+        def candidate(name, scale):
+            def predict(x):
+                calls.append(name)
+                return scale * x[:, 0] + 0.1
+            return predict
+
+        names = ["a", "b", "c", "d", "e"]
+        scales = [1.0, -3.0, 0.7, 9.0, 2.5]
+        weights = np.array([0.2, 0.0, 0.3, 0.0, 0.5])
+        stack = nuisance._StackedPredictor(
+            [candidate(nm, sc) for nm, sc in zip(names, scales)], weights)
+        x = np.random.default_rng(16).standard_normal((50, 2))
+        got = stack(x)
+        assert calls == ["a", "c", "e"]
+        want = (0.0 + 0.2 * (1.0 * x[:, 0] + 0.1) + 0.3 * (0.7 * x[:, 0] + 0.1)
+                + 0.5 * (2.5 * x[:, 0] + 0.1))
+        assert got.tobytes() == want.tobytes()
 
     def test_weights_on_simplex(self):
         rng = np.random.default_rng(4)

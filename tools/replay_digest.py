@@ -7,7 +7,7 @@ equal line for line:
 
     diff <(python3 tools/replay_digest.py) <(python3 tools/replay_digest.py ../other)
 
-The replays are ten ``seqdr monitor`` flag sets on generated streams,
+The replays are eleven ``seqdr monitor`` flag sets on generated streams,
 ``seqdr width-table`` at two levels, ``run_ate_study`` on the
 observational ensemble and unadjusted arms at three master seeds, and
 ``run_ate_study`` on the randomized linear and unadjusted arms at one.
@@ -50,6 +50,8 @@ MONITOR_RUNS = [
     ("randomized_crossfit_ensemble_batch", "randomized_ate", 4000,
      ["--crossfit", "--learner", "ensemble", "--scoring", "batch"]),
     ("randomized_spline", "randomized_ate", 4000, ["--learner", "spline"]),
+    ("randomized_crossfit_knn", "randomized_ate", 4000,
+     ["--crossfit", "--learner", "knn"]),
     ("randomized_crossfit_knn_batch", "randomized_ate", 600,
      ["--crossfit", "--learner", "knn", "--scoring", "batch"]),
     ("observational_crossfit_ensemble", "observational_ate", 1500,
