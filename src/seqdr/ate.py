@@ -128,6 +128,19 @@ def _warmup_gate(t_min: int) -> int:
     return max(t_min, 2)
 
 
+def _cs_point(t: int, n: int, estimate: float, var: float, gate: int,
+              boundary: BoundarySpec) -> CsPoint:
+    """The interval at time ``t`` of an estimate from ``n`` influence values
+    with plug-in variance ``var``: not ready below the warm-up gate, or when
+    the estimate or the variance is not finite (an overflow)."""
+    if n < gate:
+        raise NotReady("below the warm-up gate")
+    if not (math.isfinite(estimate) and math.isfinite(var)):
+        raise NotReady("the estimate or its variance is not finite")
+    radius = mixture_radius(n, math.sqrt(var), boundary)
+    return CsPoint.from_radius(t, estimate, radius, var)
+
+
 def default_boundary(alpha: float, t_min: int = 25) -> BoundarySpec:
     """Boundary with rho optimized for five times the warm-up gate."""
     return BoundarySpec(alpha, tune_rho(alpha, 5 * _warmup_gate(t_min), "exact"))
@@ -173,9 +186,10 @@ class _View:
 
     ``train`` and ``evals`` are the engine's lists of the two split
     groups, shared with the other view (which reads them the other way
-    round). Batch scoring keeps all scored values aligned with the latest
-    fit by re-scoring the stored records whenever the nuisances are
-    refit; online scoring freezes each record's value at first scoring.
+    round). ``moments`` holds the count, mean and variance of the scored
+    values. Batch scoring keeps them aligned with the latest fit by
+    re-scoring the stored records whenever the nuisances are refit; online
+    scoring freezes each record's value at first scoring.
     """
 
     def __init__(
@@ -185,9 +199,7 @@ class _View:
         self.evals = evals
         self.config = config
         self.fit: NuisanceFit | None = None
-        self._scores: list[float] = []
-        self._s1 = 0.0
-        self._s2 = 0.0
+        self.moments = RunningMoments()
 
     # -- training side -------------------------------------------------
     def refit_if_due(self) -> None:
@@ -229,16 +241,16 @@ class _View:
             pi=pi,
             clip_delta=self.config.clip_delta,
         )
-        self._score_from(0 if self.config.scoring == "batch" else len(self._scores))
+        self._score_from(0 if self.config.scoring == "batch" else self.moments.count)
 
     # -- evaluation side ----------------------------------------------
     def score_arrival(self, z: Observation) -> None:
         """Called after ``z`` joined ``evals``."""
         if self.fit is not None:
             s = eval_influence(z, self.fit)
-            self._scores.append(s)
-            self._s1 += s
-            self._s2 += s * s
+            # the row is stored already, so a non-finite score must not raise
+            self.moments = (self.moments.push(s) if math.isfinite(s)
+                            else self.moments.merge(RunningMoments.of([s])))
         # otherwise: batch mode picks it up at the next refit, online mode
         # scores it as soon as a first fit exists
 
@@ -247,29 +259,8 @@ class _View:
         the current fit; any scores they already had are replaced."""
         if start >= len(self.evals):
             return
-        s = _score_batch(*_columns(self.evals[start:]), self.fit)
-        if start == 0:
-            self._scores, self._s1, self._s2 = [], 0.0, 0.0
-        self._scores.extend(s)
-        self._s1 += float(s.sum())
-        self._s2 += float(s @ s)
-
-    # -- summaries -----------------------------------------------------
-    @property
-    def n_scored(self) -> int:
-        return len(self._scores)
-
-    @property
-    def sums(self) -> tuple[float, float, int]:
-        return self._s1, self._s2, len(self._scores)
-
-    def estimate(self) -> float:
-        if not self._scores:
-            raise NotReady("no scored evaluation observations yet")
-        return self._s1 / len(self._scores)
-
-    def scores(self) -> np.ndarray:
-        return np.asarray(self._scores)
+        block = RunningMoments.of(_score_batch(*_columns(self.evals[start:]), self.fit))
+        self.moments = block if start == 0 else self.moments.merge(block)
 
 
 class AteEngine:
@@ -324,31 +315,25 @@ class AteEngine:
     def current_point(self) -> CsPoint:
         """Mean of the view estimates, with the radius computed at the
         pooled scored count from the pooled influence variance."""
-        mean_sum = total1 = total2 = 0.0
-        n = 0
+        pooled = RunningMoments()
+        mean_sum = 0.0
         for view in self.views:
-            if view.fit is None:
-                raise NotReady("nuisance fit not ready")
-            s1, s2, k = view.sums
-            if k == 0:
+            # a view scores nothing before its first fit
+            if view.moments.count == 0:
                 raise NotReady("a view has no scored observations")
-            mean_sum += s1 / k
-            total1 += s1
-            total2 += s2
-            n += k
-        if n < self._gate:
-            raise NotReady("below the warm-up gate")
-        estimate = mean_sum / len(self.views)
-        pooled_mean = total1 / n
-        var = max(total2 / n - pooled_mean * pooled_mean, 0.0)
-        radius = mixture_radius(n, math.sqrt(var), self.config.boundary)
-        return CsPoint.from_radius(self.ledger.t, estimate, radius, var)
+            pooled = pooled.merge(view.moments)
+            mean_sum += view.moments.mean
+        return _cs_point(self.ledger.t, pooled.count, mean_sum / len(self.views),
+                         pooled.variance(), self._gate, self.config.boundary)
 
     def view_estimates(self) -> tuple[float, float]:
         """The two single-view estimates (primary, swapped)."""
         if not self.config.crossfit:
             raise DomainError("engine was built without cross-fitting")
-        return self.views[0].estimate(), self.views[1].estimate()
+        primary, swapped = (view.moments for view in self.views)
+        if primary.count == 0 or swapped.count == 0:
+            raise NotReady("no scored evaluation observations yet")
+        return primary.mean, swapped.mean
 
 
 class UnadjustedEstimator:
@@ -356,7 +341,8 @@ class UnadjustedEstimator:
 
     Randomized designs use each record's known propensity; observational
     streams plug in the running treated fraction, re-weighting all past
-    observations at every step.
+    observations at every step, which makes the estimate the difference
+    of the two arms' outcome means.
     """
 
     def __init__(self, boundary: BoundarySpec, mode: str = RANDOMIZED, t_min: int = 25):
@@ -365,12 +351,14 @@ class UnadjustedEstimator:
         self.boundary = boundary
         self.mode = mode
         self._gate = _warmup_gate(t_min)
-        self.t = 0
-        # observational sums per arm, indexed by treatment
-        self._n = [0, 0]
-        self._sum = [0.0, 0.0]
-        self._sumsq = [0.0, 0.0]
+        # randomized: the AIPW terms; observational: the outcomes of each
+        # arm, indexed by treatment. A mode fills only its own.
         self._known = RunningMoments()
+        self._arms = [RunningMoments(), RunningMoments()]
+
+    @property
+    def t(self) -> int:
+        return self._known.count + self._arms[0].count + self._arms[1].count
 
     def update(self, z: Observation) -> CsPoint | None:
         # a rejected record changes no state
@@ -380,10 +368,7 @@ class UnadjustedEstimator:
             # AIPW with zero outcome models
             self._known = self._known.push(_influence(0.0, 0.0, z.known_pi, z.a, z.y))
         else:
-            self._n[z.a] += 1
-            self._sum[z.a] += z.y
-            self._sumsq[z.a] += z.y * z.y
-        self.t += 1
+            self._arms[z.a] = self._arms[z.a].push(z.y)
         try:
             return self.current_point()
         except NotReady:
@@ -394,26 +379,21 @@ class UnadjustedEstimator:
             raise NotReady("no observations yet")
         if self.mode == RANDOMIZED:
             return self._known.mean
-        if self._n[1] in (0, self.t):
+        arm0, arm1 = self._arms
+        if arm0.count == 0 or arm1.count == 0:
             raise NotReady("observational mode needs both arms observed")
-        pbar = self._n[1] / self.t
-        return (self._sum[1] / pbar - self._sum[0] / (1.0 - pbar)) / self.t
-
-    def var_hat(self) -> float:
-        if self.mode == RANDOMIZED:
-            return self._known.variance()
-        pbar = self._n[1] / self.t
-        est = self.estimate()
-        second = (self._sumsq[1] / pbar**2 + self._sumsq[0] / (1.0 - pbar) ** 2) / self.t
-        return max(second - est * est, 0.0)
+        return arm1.mean - arm0.mean
 
     def current_point(self) -> CsPoint:
-        if self.t < self._gate:
-            raise NotReady("below the warm-up gate")
         est = self.estimate()
-        var = self.var_hat()
-        radius = mixture_radius(self.t, math.sqrt(var), self.boundary)
-        return CsPoint.from_radius(self.t, est, radius, var)
+        if self.mode == RANDOMIZED:
+            var = self._known.variance()
+        else:
+            # the mean square of the inverse-propensity terms, less est^2
+            second = sum(self.t / m.count * (m.variance() + m.mean * m.mean)
+                         for m in self._arms)
+            var = max(second - est * est, 0.0)
+        return _cs_point(self.t, self.t, est, var, self._gate, self.boundary)
 
 
 def general_cs(
@@ -424,7 +404,8 @@ def general_cs(
     The caller supplies the stream of influence values; the sequence is
     the running mean with the normal mixture radius at the running
     standard deviation, the same machinery as the ATE path. The first
-    point is at ``max(t_min, 2)``.
+    point is at ``max(t_min, 2)``. A non-finite value, or values whose
+    variance overflows, raise :class:`DataError`.
     """
     gate = _warmup_gate(t_min)
     stats = RunningMoments()
@@ -432,6 +413,9 @@ def general_cs(
         stats = stats.push(phi)
         if stats.count < gate:
             continue
-        var = stats.variance()
-        radius = mixture_radius(stats.count, math.sqrt(var), spec)
-        yield CsPoint.from_radius(stats.count, stats.mean, radius, var)
+        try:
+            point = _cs_point(stats.count, stats.count, stats.mean,
+                              stats.variance(), gate, spec)
+        except NotReady as exc:  # past the gate, only an overflow
+            raise DataError(f"influence value {stats.count}: {exc}") from exc
+        yield point

@@ -68,6 +68,18 @@ class RunningMoments:
     mean: float = 0.0
     sum_sq_centered: float = 0.0
 
+    @classmethod
+    def of(cls, values) -> "RunningMoments":
+        """The moments of a block of values in one numpy pass. Unlike
+        ``push``, non-finite values are not rejected: they make the moments
+        non-finite."""
+        v = np.asarray(values, dtype=float)
+        if v.size == 0:
+            return cls()
+        mean = float(v.mean())
+        d = v - mean
+        return cls(v.size, mean, float(d @ d))
+
     def push(self, y: float) -> "RunningMoments":
         y = float(y)
         if not math.isfinite(y):

@@ -156,7 +156,12 @@ class TestAteEngine:
         rng = np.random.default_rng(6)
         feed(engine, rng, 200)
         va, vb = engine.views
-        assert va.n_scored + vb.n_scored == 200
+        assert va.moments.count + vb.moments.count == 200
+        # each view holds the moments of its whole evaluation group
+        for view in engine.views:
+            fresh = _score_batch(*_columns(view.evals), view.fit)
+            assert view.moments.count == fresh.size
+            assert view.moments.mean == pytest.approx(fresh.mean(), rel=1e-12)
 
     def test_crossfit_views_share_rows(self):
         # one list per split group: each view scores the list the other
@@ -207,9 +212,9 @@ class TestAteEngine:
         assert engine.observe(z(3)).t == 150
 
     def test_batch_scoring_uses_latest_fit(self):
-        # with batch scoring the stored scores equal re-scoring every stored
-        # record under the current fit, at every arrival: both the records
-        # rescored at a doubling refit and those scored since
+        # with batch scoring the moments equal those of re-scoring every
+        # stored record under the current fit, at every arrival: both the
+        # records rescored at a doubling refit and those scored since
         cfg = EngineConfig(boundary=BoundarySpec(0.1, 0.3), crossfit=False,
                            t_min=5, learner=LearnerSpec("linear"),
                            scoring="batch", seed=SeedSpec(7))
@@ -222,21 +227,52 @@ class TestAteEngine:
             if view.fit is None or not view.evals:
                 continue
             fresh = _score_batch(*_columns(view.evals), view.fit)
-            assert np.allclose(view.scores(), fresh, atol=1e-12)
+            assert view.moments.count == fresh.size
+            assert view.moments.mean == pytest.approx(fresh.mean(), rel=1e-12, abs=1e-12)
+            assert view.moments.variance() == pytest.approx(fresh.var(), rel=1e-12)
             checked += 1
         assert checked > 100
 
     def test_online_scores_frozen(self):
+        # each record keeps the score of the fit it was first scored under:
+        # the one current at its arrival, or the first fit for records that
+        # arrived before it
         cfg = EngineConfig(boundary=BoundarySpec(0.1, 0.3), crossfit=False,
                            t_min=5, learner=LearnerSpec("linear"),
                            scoring="online", seed=SeedSpec(9))
         engine = AteEngine(cfg)
         rng = np.random.default_rng(10)
-        feed(engine, rng, 60)
         view = engine.views[0]
-        before = view.scores().copy()
-        feed(engine, rng, 100)  # triggers more refits
-        assert np.array_equal(view.scores()[: before.size], before)
+        fits = []  # per evaluation record, the fit that scored it
+        for _ in range(160):  # several refits
+            feed(engine, rng, 1)
+            fits += [None] * (len(view.evals) - len(fits))
+            if view.fit is not None:
+                fits = [view.fit if f is None else f for f in fits]
+        frozen = np.array([eval_influence(z, f) for z, f in zip(view.evals, fits)])
+        assert len(set(map(id, fits))) > 2
+        assert view.moments.count == frozen.size
+        assert view.moments.mean == pytest.approx(frozen.mean(), rel=1e-12)
+        assert view.moments.variance() == pytest.approx(frozen.var(), rel=1e-12)
+        # rescoring under the latest fit would give other moments
+        latest = _score_batch(*_columns(view.evals), view.fit)
+        assert view.moments.variance() != pytest.approx(latest.var(), rel=1e-6)
+
+    @pytest.mark.parametrize("scoring", ["online", "batch"])
+    @pytest.mark.parametrize("y", [1e200, 1e308])
+    def test_overflowing_variance_not_ready(self, scoring, y):
+        # both outcomes are finite, but the square of the first one's score
+        # overflows, and the second one's score itself: the interval would
+        # be NaN, so the engine is not ready from then on
+        cfg = EngineConfig(boundary=BoundarySpec(0.1, 0.3), crossfit=True,
+                           t_min=2, learner=LearnerSpec("mean_only"),
+                           scoring=scoring, seed=SeedSpec(17))
+        engine = AteEngine(cfg)
+        rng = np.random.default_rng(18)
+        assert feed(engine, rng, 50)[-1].status == "ok"
+        big = Observation(x=np.zeros(2), a=1, y=y, known_pi=0.5)
+        rows = [engine.observe(big), *feed(engine, rng, 100)]
+        assert all(r.status == "not_ready" and r.point is None for r in rows)
 
     def test_randomized_requires_known_pi(self):
         cfg = EngineConfig(boundary=BoundarySpec(0.1, 0.3))
@@ -312,6 +348,15 @@ class TestUnadjusted:
         assert est.t == 1 and est.estimate() == pytest.approx(10.0)
         assert est.update(obs(1, 7.0, 0.5)).estimate == pytest.approx(12.0)
 
+    @pytest.mark.parametrize("mode", ["randomized", "observational"])
+    def test_overflowing_variance_not_ready(self, mode):
+        est = UnadjustedEstimator(BoundarySpec(0.1, 0.3), mode=mode, t_min=2)
+        assert [est.update(obs(a, float(a), 0.5)) for a in (1, 0, 1, 0)][-1]
+        points = [est.update(obs(1, 1e200, 0.5))]
+        points += [est.update(obs(a, 1.0, 0.5)) for a in (0, 1) * 20]
+        assert points == [None] * 41
+        assert est.t == 45
+
     def test_single_arm_not_ready(self):
         from seqdr.splitting import NotReady
         est = UnadjustedEstimator(BoundarySpec(0.1, 0.3), mode="observational")
@@ -346,19 +391,29 @@ class TestGeneralCs:
         assert points[0].radius > 0.0
 
     def test_reproduces_engine_interval(self):
-        # feeding the engine's scored influence values through the generic
-        # wrapper must give the same interval (same formula path)
+        # feeding the engine's scored influence values (batch scoring: every
+        # record under the latest fit) through the generic wrapper must give
+        # the same interval (same formula path)
         cfg = EngineConfig(boundary=BoundarySpec(0.1, 0.3), crossfit=False,
                            t_min=5, learner=LearnerSpec("mean_only"),
                            seed=SeedSpec(14))
         engine = AteEngine(cfg)
         rng = np.random.default_rng(15)
-        rows = feed(engine, rng, 200)
+        feed(engine, rng, 200)
         view = engine.views[0]
-        wrapped = list(general_cs(view.scores(), cfg.boundary, t_min=1))
+        scores = _score_batch(*_columns(view.evals), view.fit)
+        assert view.moments.count == scores.size
+        wrapped = list(general_cs(scores, cfg.boundary, t_min=1))
         point = engine.current_point()
         assert wrapped[-1].estimate == pytest.approx(point.estimate, abs=1e-12)
         assert wrapped[-1].radius == pytest.approx(point.radius, abs=1e-12)
+
+    def test_overflowing_variance_raises(self):
+        spec = BoundarySpec(0.1, 0.3)
+        points = general_cs([0.0, 1.0, 1e200, 2.0], spec)
+        assert next(points).t == 2
+        with pytest.raises(DataError, match="influence value 3"):
+            next(points)
 
     def test_gaussian_coverage_quick(self):
         # modest MC check: coverage at alpha = 0.1, start 25

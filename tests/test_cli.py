@@ -175,6 +175,25 @@ class TestMonitorCommand:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 200 and rows[-1].endswith(",ok")
 
+    def test_overflowing_outcome_never_nan(self, tmp_path):
+        # y = 1e200 is a valid row, but the influence variance overflows from
+        # it on: those rows are not_ready, and no field is nan or inf
+        inp = tmp_path / "in.csv"
+        self._write_stream(inp, n=80, seed=7)
+        lines = inp.read_text().splitlines()
+        lines[40] = "0,0,0,1,1e200,0.5"
+        inp.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        code = main(["monitor", "--alpha", "0.1", "--rho", "0.3", "--crossfit",
+                     "--learner", "mean_only", "--input", str(inp),
+                     "--schema", "d=3", "--out", str(out)])
+        assert code == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert len(rows) == 80
+        assert not [f for row in rows for f in row if "nan" in f or "inf" in f]
+        assert rows[39][-1] == "ok"
+        assert {row[-1] for row in rows[40:]} == {"not_ready"}
+
     @pytest.mark.parametrize("extra, seed_env", [
         (["--learner", "knn", "--knn-k", "0"], None),
         ([], "abc"),

@@ -112,3 +112,34 @@ def test_no_unread_fields():
                     if cls.__module__ == mod.__name__
                     for f in dataclasses.fields(cls) if f.name not in read)
     assert not unread, unread
+
+
+def _calling_functions(tree, is_target):
+    """The qualified name of the innermost function or class around each
+    call whose callee matches ``is_target``."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and is_target(child.func):
+                found.add(owner)
+            name = getattr(child, "name", "<lambda>")
+            scope = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+            visit(child, f"{owner}.{name}" if isinstance(child, scope) else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_interval_assembly():
+    # the engine, the comparator and general_cs build their intervals through
+    # one helper (warm-up gate, finiteness check, radius, CsPoint)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = root / "src" / "seqdr" / "ate.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    radius = _calling_functions(
+        tree, lambda f: isinstance(f, ast.Name) and f.id == "mixture_radius")
+    point = _calling_functions(
+        tree, lambda f: isinstance(f, ast.Attribute) and f.attr == "from_radius"
+        and isinstance(f.value, ast.Name) and f.value.id == "CsPoint")
+    assert len(radius) == 1 and radius == point, (radius, point)

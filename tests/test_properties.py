@@ -1,6 +1,7 @@
 """Property-based checks over randomized inputs."""
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import given, settings
@@ -31,6 +32,31 @@ def test_merge_matches_concatenation(a, b):
     scale = max(1.0, abs(full.mean))
     assert abs(merged.mean - full.mean) <= 1e-9 * scale
     assert merged.count == full.count
+
+
+def _pushed(values, start=RunningMoments()):
+    m = start
+    for v in values:
+        m = m.push(v)
+    return m
+
+
+def _assert_same_moments(got, want, values):
+    # relative to the largest |value| for the mean and to the mean square
+    # for the variance (Welford and two-pass differ by rounding only), with
+    # the smallest normal float as the floor: subnormal results lose digits
+    tiny = sys.float_info.min
+    assert got.count == want.count
+    assert abs(got.mean - want.mean) <= 1e-12 * max(map(abs, values)) + tiny
+    square = want.variance() + want.mean * want.mean
+    assert abs(got.variance() - want.variance()) <= 1e-12 * square + tiny
+
+
+@given(st.lists(finite, max_size=50), st.lists(finite, min_size=1, max_size=50))
+def test_block_moments_match_pushes(prefix, block):
+    _assert_same_moments(RunningMoments.of(block), _pushed(block), block)
+    _assert_same_moments(_pushed(prefix).merge(RunningMoments.of(block)),
+                         _pushed(prefix + block), prefix + block)
 
 
 @given(st.lists(finite, min_size=1, max_size=8))

@@ -8,9 +8,12 @@ equal line for line:
     diff <(python3 tools/replay_digest.py) <(python3 tools/replay_digest.py ../other)
 
 The replays are eleven ``seqdr monitor`` flag sets on generated streams,
-``seqdr width-table`` at two levels, ``run_ate_study`` on the
-observational ensemble and unadjusted arms at three master seeds, and
-``run_ate_study`` on the randomized linear and unadjusted arms at one.
+each hashed twice: as printed (9 significant digits), and as
+``monitor_<run>_hex`` with every float written by ``float.hex``, so that
+a last-bit change shows. Then come ``seqdr width-table`` at two levels,
+``run_ate_study`` on the observational ensemble and unadjusted arms at
+three master seeds, and ``run_ate_study`` on the randomized linear and
+unadjusted arms at one.
 BLAS is pinned to one thread, and ``SEQDR_SEED`` is ignored.
 """
 
@@ -31,6 +34,7 @@ os.environ.pop("SEQDR_SEED", None)
 sys.path.insert(0, str(SRC))
 
 import seqdr  # noqa: E402
+import seqdr.cli  # noqa: E402
 from seqdr.cli import main  # noqa: E402
 from seqdr.io import serialize_observation  # noqa: E402
 from seqdr.simlab import generate_stream  # noqa: E402
@@ -83,6 +87,24 @@ def stream_text(kind: str, rows: int) -> str:
         for i in range(rows))
 
 
+def hex_row(row) -> str:
+    """``seqdr.cli.format_row`` at full precision: floats as ``float.hex``."""
+    p = row.point
+    body = ",,,," if p is None else ",".join(
+        float(v).hex() for v in (p.estimate, p.lower, p.upper, p.radius, p.var_hat))
+    return "%d,%d,%d,%s,%s" % (row.t, row.t_eval, row.t_train, body, row.status)
+
+
+def run_hex(tmp: Path, argv: list[str]) -> bytes:
+    """``run_cli`` with the CLI's row formatter swapped for ``hex_row``."""
+    printed = seqdr.cli.format_row
+    seqdr.cli.format_row = hex_row
+    try:
+        return run_cli(tmp, argv)
+    finally:
+        seqdr.cli.format_row = printed
+
+
 def run_cli(tmp: Path, argv: list[str]) -> bytes:
     out = tmp / "out.csv"
     code = main(argv + ["--out", str(out)])
@@ -99,8 +121,9 @@ def main_digest() -> None:
             if not path.exists():
                 path.write_text(stream_text(kind, rows))
                 print(f"input_{kind}_{rows} {sha(path.read_bytes())}", flush=True)
-            got = run_cli(tmp, MONITOR + flags + ["--input", str(path)])
-            print(f"monitor_{run} {sha(got)}", flush=True)
+            argv = MONITOR + flags + ["--input", str(path)]
+            print(f"monitor_{run} {sha(run_cli(tmp, argv))}", flush=True)
+            print(f"monitor_{run}_hex {sha(run_hex(tmp, argv))}", flush=True)
         for alpha in ("0.05", "0.1"):
             got = run_cli(tmp, ["width-table", "--alpha", alpha,
                                 "--t-opts", "100,1000"])
