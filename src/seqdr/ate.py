@@ -79,16 +79,17 @@ def eval_influence(z: Observation, fit: NuisanceFit) -> float:
     """Influence value of one observation under ``fit``.
 
     Known propensities (randomized designs) take precedence over a
-    fitted propensity model when ``fit.pi`` is None.
+    fitted propensity model when ``fit.pi`` is None. The predictors are
+    read through their one-row ``row`` path, in Python floats.
     """
-    x = z.x[None, :]
+    xs = z.x.tolist()
     if fit.pi is None:
         if z.known_pi is None:
             raise DomainError("no propensity available for this observation")
         pi = min(max(z.known_pi, fit.clip_delta), 1.0 - fit.clip_delta)
     else:
-        pi = float(fit.pi(x)[0])
-    return _influence(float(fit.mu1(x)[0]), float(fit.mu0(x)[0]), pi, z.a, z.y)
+        pi = fit.pi.row(xs)
+    return _influence(fit.mu1.row(xs), fit.mu0.row(xs), pi, z.a, z.y)
 
 
 def _score_batch(

@@ -14,6 +14,8 @@ import contextlib
 import os
 import sys
 
+import numpy as np
+
 from .ate import AteEngine, EngineConfig, default_boundary
 from .boundaries import BoundarySpec, tune_rho
 from .io import OUTPUT_HEADER, ParseError, format_row, parse_observation
@@ -132,6 +134,9 @@ def _cmd_monitor(args) -> int:
 
     bad = 0
     with contextlib.ExitStack() as stack:
+        # an overflowing row is reported by its status (not_ready), so
+        # numpy's overflow warnings would only repeat it on stderr
+        stack.enter_context(np.errstate(over="ignore", invalid="ignore"))
         infile = (sys.stdin if args.input == "-"
                   else stack.enter_context(open(args.input)))
         outfile = (sys.stdout if args.out == "-"

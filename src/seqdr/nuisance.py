@@ -10,6 +10,7 @@ for propensities. Fitted predictors are pure functions of their input.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,8 +42,10 @@ _IRLS_TOL = 1e-8
 # least this many
 _HOLDOUT_MIN = 5
 _PGD_STEPS = 500
-# query rows per k-NN distance block
-_KNN_CHUNK = 256
+# distances per k-NN block (query rows x training rows): a batch rescoring
+# is scored in blocks of this many, so the distance and index arrays stay
+# a few hundred KB whatever the training size
+_KNN_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,15 @@ class LearnerSpec:
 class NuisanceFit:
     """The fitted nuisance triple: outcome regressions per arm and the
     propensity score, with outputs of ``pi`` clipped to
-    [clip_delta, 1 - clip_delta]."""
+    [clip_delta, 1 - clip_delta].
+
+    Each predictor has two entry points: called on an ``(n, d)`` block it
+    returns an array of ``n`` values, and ``row(xs)`` takes one row as a
+    list of ``d`` floats and returns a float. ``row`` is the per-arrival
+    path; it works in Python floats, so it agrees with the block call on
+    ``[xs]`` to rounding (summation order and fused multiply-adds), not
+    always to the bit.
+    """
 
     mu1: object
     mu0: object
@@ -97,15 +108,22 @@ class _MeanPredictor:
         x = _as_matrix(x)
         return np.full(x.shape[0], self.value)
 
+    def row(self, xs: list[float]) -> float:
+        return self.value
+
 
 class _LinearPredictor:
     def __init__(self, intercept: float, coef: np.ndarray):
         self.intercept = float(intercept)
         self.coef = np.asarray(coef, dtype=float)
+        self.coef_list = self.coef.tolist()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = _as_matrix(x)
         return self.intercept + x @ self.coef
+
+    def row(self, xs: list[float]) -> float:
+        return self.intercept + sum(map(operator.mul, self.coef_list, xs))
 
 
 class _KnnPredictor:
@@ -114,34 +132,38 @@ class _KnnPredictor:
         self.ys = np.asarray(ys, dtype=float)
         self.k = min(k, len(ys))
         self.sq_norms = np.sum(self.xs * self.xs, axis=1)
+        self.chunk = max(1, _KNN_BLOCK // len(self.ys))  # query rows per block
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = _as_matrix(x)
         if self.k == len(self.ys):
             return np.full(x.shape[0], self.ys.mean())
-        if x.shape[0] > _KNN_CHUNK:
+        if x.shape[0] > self.chunk:
             # a batch rescoring sends thousands of rows at once; chunks
             # keep the distance array small
             return np.concatenate([
-                self(x[i : i + _KNN_CHUNK])
-                for i in range(0, x.shape[0], _KNN_CHUNK)
+                self(x[i : i + self.chunk])
+                for i in range(0, x.shape[0], self.chunk)
             ])
         # squared Euclidean distances, vectorized over query points
-        d2 = (
-            (x * x).sum(axis=1)[:, None]
-            - 2.0 * x @ self.xs.T
-            + self.sq_norms[None, :]
-        )
-        idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
+        d2 = (x * x).sum(axis=1)[:, None] - 2.0 * x @ self.xs.T
+        d2 += self.sq_norms
+        idx = d2.argpartition(self.k - 1, axis=1)[:, : self.k]
         # the add-reduce and true divide that np.mean runs, without its
         # per-call overhead
         return self.ys[idx].sum(axis=1) / self.k
+
+    def row(self, xs: list[float]) -> float:
+        # one distance formula: a one-row block, so neighbours (ties
+        # included) are those of the block call
+        return float(self(np.array([xs]))[0])
 
 
 class _LogisticPredictor:
     def __init__(self, intercept: float, coef: np.ndarray):
         self.intercept = float(intercept)
         self.coef = np.asarray(coef, dtype=float)
+        self.coef_list = self.coef.tolist()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = _as_matrix(x)
@@ -153,6 +175,14 @@ class _LogisticPredictor:
         out[~pos] = e / (1.0 + e)
         return out
 
+    def row(self, xs: list[float]) -> float:
+        z = self.intercept + sum(map(operator.mul, self.coef_list, xs))
+        z = min(max(z, -700.0), 700.0)
+        if z >= 0:
+            return 1.0 / (1.0 + math.exp(-z))
+        e = math.exp(z)
+        return e / (1.0 + e)
+
 
 class _SplineBasis:
     """Additive quadratic-spline feature map: per coordinate, the raw
@@ -161,12 +191,19 @@ class _SplineBasis:
 
     def __init__(self, knots: np.ndarray):
         self.knots = np.asarray(knots, dtype=float)  # shape (d, n_knots)
+        self.knot_rows = self.knots.tolist()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = _as_matrix(x)
         # hinge column j * n_knots + q is max(0, x_j - knot_jq)
         hinges = np.maximum(0.0, x[:, :, None] - self.knots[None])
         return np.concatenate([x, x * x, hinges.reshape(x.shape[0], -1)], axis=1)
+
+    def row(self, xs: list[float]) -> list[float]:
+        """The features of one row, in the block call's column order."""
+        return (xs + [v * v for v in xs]
+                + [max(0.0, v - q) for v, knots in zip(xs, self.knot_rows)
+                   for q in knots])
 
 
 class _BasisPredictor:
@@ -177,6 +214,9 @@ class _BasisPredictor:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.inner(self.basis(x))
 
+    def row(self, xs: list[float]) -> float:
+        return self.inner.row(self.basis.row(xs))
+
 
 class _ClippedPredictor:
     def __init__(self, inner, delta: float):
@@ -185,6 +225,9 @@ class _ClippedPredictor:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.clip(self.inner(x), self.delta, 1.0 - self.delta)
+
+    def row(self, xs: list[float]) -> float:
+        return min(max(self.inner.row(xs), self.delta), 1.0 - self.delta)
 
 
 class _StackedPredictor:
@@ -198,6 +241,12 @@ class _StackedPredictor:
         out = np.zeros(x.shape[0])
         for w, p in self.terms:
             out += w * p(x)
+        return out
+
+    def row(self, xs: list[float]) -> float:
+        out = 0.0
+        for w, p in self.terms:
+            out += w * p.row(xs)
         return out
 
 
@@ -266,6 +315,14 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _top_eigenvalue(gram: np.ndarray) -> float:
+    """The largest eigenvalue of a symmetric matrix, or inf when an entry
+    overflowed."""
+    if not np.isfinite(gram).all():
+        return math.inf
+    return float(np.linalg.eigvalsh(gram).max())
+
+
 def _tune_weights(
     preds: np.ndarray, target: np.ndarray, loss: str, delta: float
 ) -> np.ndarray:
@@ -275,7 +332,9 @@ def _tune_weights(
 
     The step map is deterministic, so once an iterate repeats one seen
     before, every later iterate has been scored already and the best
-    cannot change: the descent stops there.
+    cannot change: the descent stops there. It also stops at a loss or
+    gradient that overflowed (a huge outcome), keeping the best finite
+    iterate, or a vertex when none is finite.
     """
     m, kk = preds.shape
     if kk == 1:
@@ -289,7 +348,7 @@ def _tune_weights(
             value = -np.mean(target * np.log(q) + (1.0 - target) * np.log1p(-q))
             return value, pc.T @ ((q - target) / (q * (1.0 - q))) / m
 
-        lam = float(np.linalg.eigvalsh(pc.T @ pc / m).max())
+        lam = _top_eigenvalue(pc.T @ pc / m)
         lip = lam / max(delta * (1.0 - delta), 1e-4) ** 2
     else:
         # 2.0 * preds.T @ r evaluates as (2.0 * preds.T) @ r, so hoisting
@@ -300,23 +359,29 @@ def _tune_weights(
             r = preds @ w - target
             return float(r @ r) / m, two_pt @ r / m
 
-        lip = 2.0 * float(np.linalg.eigvalsh(preds.T @ preds / m).max())
+        lip = 2.0 * _top_eigenvalue(preds.T @ preds / m)
 
     vertices = [loss_grad(e) for e in np.eye(kk)]
-    j = int(np.argmin([value for value, _ in vertices]))
+    losses = [value if math.isfinite(value) else math.inf for value, _ in vertices]
+    j = int(np.argmin(losses))
     w = np.eye(kk)[j].copy()
     if lip <= 0.0 or not math.isfinite(lip):
         return w
     step = 1.0 / lip
-    best_w, (best_l, grad) = w.copy(), vertices[j]
+    best_w, best_l, grad = w.copy(), losses[j], vertices[j][1]
     seen = {w.tobytes()}
     for _ in range(_PGD_STEPS):
-        w = project_simplex(w - step * grad)
+        try:
+            w = project_simplex(w - step * grad)
+        except DomainError:  # the gradient overflowed
+            break
         key = w.tobytes()
         if key in seen:
             break
         seen.add(key)
         cur, grad = loss_grad(w)
+        if not math.isfinite(cur):
+            break
         if cur < best_l:
             best_l, best_w = cur, w.copy()
     return best_w

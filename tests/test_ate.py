@@ -18,16 +18,15 @@ from seqdr.ate import (
 )
 from seqdr.boundaries import BoundarySpec, mixture_radius
 from seqdr.numerics import DataError, DomainError, SeedSpec
-from seqdr.nuisance import LearnerSpec, NuisanceFit
+from seqdr.nuisance import LearnerSpec, NuisanceFit, _MeanPredictor
 from seqdr.splitting import EVAL, TRAIN, NotReady
 
 
 def const_fit(m1, m0, pi=None, delta=0.01):
-    mk = lambda v: (lambda x: np.full(np.atleast_2d(x).shape[0], v))
     return NuisanceFit(
-        mu1=mk(m1),
-        mu0=mk(m0),
-        pi=None if pi is None else mk(pi),
+        mu1=_MeanPredictor(m1),
+        mu0=_MeanPredictor(m0),
+        pi=None if pi is None else _MeanPredictor(pi),
         clip_delta=delta,
     )
 

@@ -1,10 +1,15 @@
 """CLI and IO: parsing, serialization round trips, command contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqdr
 from seqdr.ate import Observation
 from seqdr.cli import main
 from seqdr.io import (
@@ -193,6 +198,48 @@ class TestMonitorCommand:
         assert not [f for row in rows for f in row if "nan" in f or "inf" in f]
         assert rows[39][-1] == "ok"
         assert {row[-1] for row in rows[40:]} == {"not_ready"}
+
+    def _overflow_stream(self, path, n, row):
+        """A ``_write_stream`` stream whose 1-based ``row`` has y = 1e200."""
+        self._write_stream(path, n=n, seed=7)
+        lines = path.read_text().splitlines()
+        lines[row - 1] = "0,0,0,1,1e200,0.5"
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("scoring", ["online", "batch"])
+    def test_overflowing_outcome_ensemble_runs_to_end(self, tmp_path, capsys,
+                                                      scoring):
+        # the weight tuning's squared loss overflows at the first refit
+        # after the row; it keeps its best finite weights
+        inp = tmp_path / "in.csv"
+        self._overflow_stream(inp, n=200, row=61)
+        out = tmp_path / "out.csv"
+        code = main(["monitor", "--alpha", "0.1", "--rho", "0.3", "--crossfit",
+                     "--learner", "ensemble", "--scoring", scoring,
+                     "--input", str(inp), "--schema", "d=3", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert len(rows) == 200
+        assert not [f for row in rows if row[-1] == "ok" for f in row
+                    if "nan" in f or "inf" in f]
+
+    @pytest.mark.parametrize("learner", ["ensemble", "mean_only"])
+    def test_overflowing_outcome_quiet_stderr(self, tmp_path, learner):
+        # in a child process, where numpy's RuntimeWarnings would reach
+        # stderr (pytest captures them in-process)
+        inp = tmp_path / "in.csv"
+        self._overflow_stream(inp, n=200, row=61)
+        env = dict(os.environ, PYTHONPATH=str(Path(seqdr.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "seqdr.cli", "monitor", "--alpha", "0.1",
+             "--rho", "0.3", "--crossfit", "--learner", learner,
+             "--scoring", "batch", "--input", str(inp), "--schema", "d=3",
+             "--out", str(tmp_path / "out.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ""
 
     @pytest.mark.parametrize("extra, seed_env", [
         (["--learner", "knn", "--knn-k", "0"], None),

@@ -1,6 +1,7 @@
 """Nuisance learners: regressions, propensities, simplex-weighted stacks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ class TestFitOutcome:
 
     @pytest.mark.parametrize("grid", [0.0, 0.5])
     def test_knn_chunked_rows_match_one_block(self, grid):
-        # a 600-row query spans three chunks; on a coarse grid many
+        # a 600-row query spans several chunks; on a coarse grid many
         # distances tie, so argpartition's choice among them is exercised
         rng = np.random.default_rng(14)
         xs = rng.standard_normal((700, 3))
@@ -214,11 +215,26 @@ class TestFitOutcome:
             row = q[i : i + 1]
             assert pred(row).tobytes() == _reference_knn(xs, ys, k, row).tobytes()
         # a block larger than one chunk is scored chunk by chunk
-        chunk = nuisance._KNN_CHUNK
+        chunk = pred.chunk
         for block in (q[:7], q[:chunk], q):
             want = np.concatenate([_reference_knn(xs, ys, k, block[i : i + chunk])
                                    for i in range(0, len(block), chunk)])
             assert pred(block).tobytes() == want.tobytes()
+
+    def test_knn_block_memory_does_not_grow_with_training_size(self):
+        # a batch rescoring against many training rows is scored in blocks
+        # of at most _KNN_BLOCK distances, so its peak is a few hundred KB
+        rng = np.random.default_rng(16)
+        pred = fit_outcome(rng.standard_normal((4000, 3)), rng.standard_normal(4000),
+                           LearnerSpec("knn", k=10))
+        q = rng.standard_normal((2000, 3))
+        tracemalloc.start()
+        try:
+            pred(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 7, 300, 3000])
@@ -374,6 +390,22 @@ class TestTuneWeights:
         w = nuisance._tune_weights(preds, target, loss, 1e-3)
         assert len(calls) == 1
         assert w.tolist().count(1.0) == 1 and w.sum() == 1.0
+
+    @pytest.mark.parametrize("where", ["target", "preds"])
+    def test_overflow_keeps_finite_simplex_weights(self, where):
+        # a huge outcome overflows the squared loss (in the target) or the
+        # step size's eigenvalue bound (in a candidate's predictions)
+        _, preds, target, _ = dict(
+            (c[0], c) for c in _holdout_problems())["squared_interior"]
+        preds, target = preds.copy(), target.copy()
+        if where == "target":
+            target[3] = 1e200
+        else:
+            preds[3, 1] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = nuisance._tune_weights(preds, target, "squared", 1e-3)
+        assert np.isfinite(w).all() and np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-12
 
 
 class TestFitEnsemble:

@@ -4,13 +4,15 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqdr import nuisance
 from seqdr.boundaries import BoundarySpec, mixture_radius
 from seqdr.io import parse_observation, serialize_observation
 from seqdr.numerics import RunningMoments, lambert_w
-from seqdr.nuisance import project_simplex
+from seqdr.nuisance import LearnerSpec, fit_outcome, fit_propensity, project_simplex
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -94,3 +96,63 @@ def test_observation_round_trip(x, a, y):
     back = parse_observation(serialize_observation(z), d=len(x))
     assert np.array_equal(back.x, z.x)
     assert (back.a, back.y, back.known_pi) == (z.a, z.y, z.known_pi)
+
+
+def _knot_rows(pred):
+    """Query rows lying exactly on the knots of every spline basis that
+    ``pred`` reads."""
+    if isinstance(pred, nuisance._BasisPredictor):
+        return list(pred.basis.knots.T)
+    if isinstance(pred, nuisance._ClippedPredictor):
+        return _knot_rows(pred.inner)
+    if isinstance(pred, nuisance._StackedPredictor):
+        return [q for _, p in pred.terms for q in _knot_rows(p)]
+    return []
+
+
+@given(st.sampled_from(nuisance._KINDS), st.sampled_from(["outcome", "propensity"]),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_row_matches_block(kind, task, d, seed):
+    # ``row`` on one list of floats against the block call on that one row:
+    # exact where the row path reuses the block arithmetic (mean, k-NN),
+    # and to rounding where it sums in Python floats
+    rng = np.random.default_rng(seed)
+    n = 120
+    x = rng.standard_normal((n, d))
+    spec = LearnerSpec(kind, k=5)
+    if task == "propensity":
+        labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(float)
+        labels[:2] = (0.0, 1.0)
+        pred = fit_propensity(x, labels, spec)
+    else:
+        pred = fit_outcome(x, x.sum(axis=1) + rng.standard_normal(n), spec)
+    queries = list(rng.standard_normal((4, d))) + _knot_rows(pred)
+    if task == "propensity":
+        # far enough out that the logistic link clips at +-700
+        far = 1e6 * np.sign(x[0] + 0.5)
+        queries += [far, -far]
+    for q in queries:
+        got = pred.row(q.tolist())
+        want = float(pred(q[None, :])[0])
+        assert type(got) is float
+        if kind in ("mean_only", "knn"):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12 * (abs(want) + 1.0)
+
+
+@pytest.mark.parametrize("grid", [0.0, 0.5])
+def test_knn_row_matches_one_row_block_on_ties(grid):
+    # the data of test_knn_chunked_rows_match_one_block; on the coarse grid
+    # many distances tie
+    rng = np.random.default_rng(14)
+    xs = rng.standard_normal((700, 3))
+    q = rng.standard_normal((600, 3))
+    if grid:
+        xs, q = np.round(xs / grid) * grid, np.round(q / grid) * grid
+    ys = rng.standard_normal(700)
+    pred = fit_outcome(xs, ys, LearnerSpec("knn", k=10))
+    for i in range(len(q)):
+        assert pred.row(q[i].tolist()) == pred(q[i : i + 1])[0]
