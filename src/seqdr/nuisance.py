@@ -82,9 +82,13 @@ class NuisanceFit:
     Each predictor has two entry points: called on an ``(n, d)`` block it
     returns an array of ``n`` values, and ``row(xs)`` takes one row as a
     list of ``d`` floats and returns a float. ``row`` is the per-arrival
-    path; it works in Python floats, so it agrees with the block call on
+    path and does only per-query arithmetic: the parametric and spline
+    predictors sum in Python floats (the spline in one fused loop over
+    its coordinates and knots), so they agree with the block call on
     ``[xs]`` to rounding (summation order and fused multiply-adds), not
-    always to the bit.
+    always to the bit; k-NN's ``row`` is one matrix-vector product, and
+    picks the neighbours of the one-row block call except where two
+    distances tie to within their last bit.
     """
 
     mu1: object
@@ -112,26 +116,62 @@ class _MeanPredictor:
         return self.value
 
 
-class _LinearPredictor:
+class _AffinePredictor:
+    """A link of intercept + x . coef; subclasses give the block call and
+    the one-float ``link``."""
+
     def __init__(self, intercept: float, coef: np.ndarray):
         self.intercept = float(intercept)
         self.coef = np.asarray(coef, dtype=float)
         self.coef_list = self.coef.tolist()
 
+    def row(self, xs: list[float]) -> float:
+        return self.link(self.intercept + sum(map(operator.mul, self.coef_list, xs)))
+
+
+class _LinearPredictor(_AffinePredictor):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = _as_matrix(x)
         return self.intercept + x @ self.coef
 
-    def row(self, xs: list[float]) -> float:
-        return self.intercept + sum(map(operator.mul, self.coef_list, xs))
+    @staticmethod
+    def link(z: float) -> float:
+        return z
+
+
+class _LogisticPredictor(_AffinePredictor):
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = _as_matrix(x)
+        z = np.clip(self.intercept + x @ self.coef, -700.0, 700.0)
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        e = np.exp(z[~pos])
+        out[~pos] = e / (1.0 + e)
+        return out
+
+    @staticmethod
+    def link(z: float) -> float:
+        """The block call's link on one float: clip to +-700, then the
+        branch of the logistic function that cannot overflow."""
+        z = min(max(z, -700.0), 700.0)
+        if z >= 0:
+            return 1.0 / (1.0 + math.exp(-z))
+        e = math.exp(z)
+        return e / (1.0 + e)
 
 
 class _KnnPredictor:
     def __init__(self, xs: np.ndarray, ys: np.ndarray, k: int):
-        self.xs = np.asarray(xs, dtype=float)
+        xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.k = min(k, len(ys))
-        self.sq_norms = np.sum(self.xs * self.xs, axis=1)
+        # squared distances up to the query's own |q|^2, which is the same
+        # for every training row and so never reorders two of them:
+        # d2 = |x|^2 - 2 q.x. The one training matrix is stored as -2 x
+        # (an exact scaling), so d2 is a product plus the cached norms.
+        self.sq_norms = np.sum(xs * xs, axis=1)
+        self.m2xs = -2.0 * xs
         self.chunk = max(1, _KNN_BLOCK // len(self.ys))  # query rows per block
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -145,8 +185,7 @@ class _KnnPredictor:
                 self(x[i : i + self.chunk])
                 for i in range(0, x.shape[0], self.chunk)
             ])
-        # squared Euclidean distances, vectorized over query points
-        d2 = (x * x).sum(axis=1)[:, None] - 2.0 * x @ self.xs.T
+        d2 = x @ self.m2xs.T
         d2 += self.sq_norms
         idx = d2.argpartition(self.k - 1, axis=1)[:, : self.k]
         # the add-reduce and true divide that np.mean runs, without its
@@ -154,34 +193,16 @@ class _KnnPredictor:
         return self.ys[idx].sum(axis=1) / self.k
 
     def row(self, xs: list[float]) -> float:
-        # one distance formula: a one-row block, so neighbours (ties
-        # included) are those of the block call
-        return float(self(np.array([xs]))[0])
-
-
-class _LogisticPredictor:
-    def __init__(self, intercept: float, coef: np.ndarray):
-        self.intercept = float(intercept)
-        self.coef = np.asarray(coef, dtype=float)
-        self.coef_list = self.coef.tolist()
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = _as_matrix(x)
-        z = np.clip(self.intercept + x @ self.coef, -700.0, 700.0)
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        e = np.exp(z[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
-
-    def row(self, xs: list[float]) -> float:
-        z = self.intercept + sum(map(operator.mul, self.coef_list, xs))
-        z = min(max(z, -700.0), 700.0)
-        if z >= 0:
-            return 1.0 / (1.0 + math.exp(-z))
-        e = math.exp(z)
-        return e / (1.0 + e)
+        # the block formula as one matrix-vector product: its distances
+        # can differ from a one-row block's in the last bit (GEMV against
+        # GEMM), so the neighbours are the block call's except on such a
+        # tie
+        if self.k == len(self.ys):
+            return float(self.ys.mean())
+        d2 = self.m2xs.dot(xs)
+        d2 += self.sq_norms
+        idx = d2.argpartition(self.k - 1)[: self.k]
+        return float(self.ys[idx].sum() / self.k)
 
 
 class _SplineBasis:
@@ -191,7 +212,6 @@ class _SplineBasis:
 
     def __init__(self, knots: np.ndarray):
         self.knots = np.asarray(knots, dtype=float)  # shape (d, n_knots)
-        self.knot_rows = self.knots.tolist()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = _as_matrix(x)
@@ -199,23 +219,39 @@ class _SplineBasis:
         hinges = np.maximum(0.0, x[:, :, None] - self.knots[None])
         return np.concatenate([x, x * x, hinges.reshape(x.shape[0], -1)], axis=1)
 
-    def row(self, xs: list[float]) -> list[float]:
-        """The features of one row, in the block call's column order."""
-        return (xs + [v * v for v in xs]
-                + [max(0.0, v - q) for v, knots in zip(xs, self.knot_rows)
-                   for q in knots])
-
 
 class _BasisPredictor:
     def __init__(self, basis: _SplineBasis, inner):
         self.basis = basis
         self.inner = inner
+        # one row's table per coordinate j, from the inner model's
+        # coefficients in the basis's column order: (linear, square,
+        # [(knot, hinge coefficient), ...])
+        d, n_knots = basis.knots.shape
+        coef = inner.coef_list
+        self.intercept = inner.intercept
+        self.link = inner.link
+        self.table = [
+            (coef[j], coef[d + j],
+             list(zip(basis.knots[j].tolist(),
+                      coef[2 * d + j * n_knots : 2 * d + (j + 1) * n_knots])))
+            for j in range(d)
+        ]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.inner(self.basis(x))
 
     def row(self, xs: list[float]) -> float:
-        return self.inner.row(self.basis.row(xs))
+        # the inner model on the basis of one row, without building it; a
+        # hinge whose knot is at or above v adds nothing, so a branch skips
+        # it (cheaper than max)
+        acc = self.intercept
+        for v, (c_lin, c_sq, hinges) in zip(xs, self.table):
+            acc += (c_lin + c_sq * v) * v
+            for q, c in hinges:
+                if v > q:
+                    acc += c * (v - q)
+        return self.link(acc)
 
 
 class _ClippedPredictor:
