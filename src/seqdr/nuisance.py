@@ -166,10 +166,13 @@ class _KnnPredictor:
         xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.k = min(k, len(ys))
-        # squared distances up to the query's own |q|^2, which is the same
-        # for every training row and so never reorders two of them:
-        # d2 = |x|^2 - 2 q.x. The one training matrix is stored as -2 x
-        # (an exact scaling), so d2 is a product plus the cached norms.
+        # squared distances up to the query's own |q|^2, the same for
+        # every training row: d2 = |x|^2 - 2 q.x. In exact arithmetic this
+        # ranks the rows as |q - x|^2 does; in floats it rounds differently
+        # from the form with |q|^2, so the two can break a near-tie
+        # differently, most of all for a query far from the training rows.
+        # The one training matrix is stored as -2 x (an exact scaling), so
+        # d2 is a product plus the cached norms.
         self.sq_norms = np.sum(xs * xs, axis=1)
         self.m2xs = -2.0 * xs
         self.chunk = max(1, _KNN_BLOCK // len(self.ys))  # query rows per block

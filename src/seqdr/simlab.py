@@ -113,13 +113,17 @@ class MonteCarloReport:
 
 @dataclass(frozen=True)
 class RepSummary:
-    """Per-replication outcome of one estimator."""
+    """Per-replication outcome of one estimator. ``first_miss_t`` and
+    ``last_miss_t`` are the first and last t whose emitted interval misses
+    psi, None when none does."""
 
     final_estimate: float
     final_width: float
     uniform_coverage: bool
     final_coverage: bool
     n_emitted: int
+    first_miss_t: int | None = None
+    last_miss_t: int | None = None
 
 
 def mu_star(x1, x2, x3):
@@ -245,14 +249,16 @@ def _summarize_points(points) -> RepSummary:
     emitted = [p for p in points if p is not None]
     if not emitted:
         return RepSummary(math.nan, math.nan, False, False, 0)
-    uniform = all(p.lower <= _PSI_TRUE <= p.upper for p in emitted)
+    missed = [p.t for p in emitted if not p.lower <= _PSI_TRUE <= p.upper]
     last = emitted[-1]
     return RepSummary(
         final_estimate=last.estimate,
         final_width=2.0 * last.radius,
-        uniform_coverage=uniform,
+        uniform_coverage=not missed,
         final_coverage=last.lower <= _PSI_TRUE <= last.upper,
         n_emitted=len(emitted),
+        first_miss_t=missed[0] if missed else None,
+        last_miss_t=missed[-1] if missed else None,
     )
 
 

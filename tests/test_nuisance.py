@@ -236,46 +236,6 @@ class TestFitOutcome:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("k", [7, 8, 50])
-    def test_knn_row_with_k_at_least_training_rows_matches_block(self, k):
-        # every training row is a neighbour: row returns the block call's
-        # mean, bit for bit
-        rng = np.random.default_rng(17)
-        xs, ys = rng.standard_normal((7, 2)), rng.standard_normal(7)
-        pred = fit_outcome(xs, ys, LearnerSpec("knn", k=k))
-        for q in rng.standard_normal((5, 2)):
-            got = pred.row(q.tolist())
-            assert type(got) is float
-            assert got == pred(q[None, :])[0]
-
-    @pytest.mark.parametrize("task", ["outcome", "propensity"])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_spline_row_matches_block_around_knots(self, d, task):
-        # the fused row path skips a hinge whose knot is at or above the
-        # query: queries below every knot, above every knot, exactly on
-        # each knot, and on a different knot per coordinate
-        rng = np.random.default_rng(18 + d)
-        n = 200
-        x = rng.standard_normal((n, d))
-        if task == "propensity":
-            labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(float)
-            pred = fit_propensity(x, labels, LearnerSpec("spline"))
-            knots = pred.inner.basis.knots
-        else:
-            pred = fit_outcome(x, (x * x).sum(axis=1) + rng.standard_normal(n),
-                               LearnerSpec("spline"))
-            knots = pred.basis.knots
-        n_knots = knots.shape[1]
-        queries = [knots.min(axis=1) - 1.0, knots.max(axis=1) + 1.0]
-        queries += [knots[:, q] for q in range(n_knots)]
-        queries += [knots[np.arange(d), (np.arange(d) + s) % n_knots]
-                    for s in range(n_knots)]
-        for q in queries:
-            got = pred.row(q.tolist())
-            want = float(pred(q[None, :])[0])
-            assert type(got) is float
-            assert abs(got - want) <= 1e-12 * (abs(want) + 1.0)
-
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 7, 300, 3000])
     def test_spline_basis_matches_per_coordinate_loop(self, n, d):

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqdr import nuisance
@@ -99,10 +99,14 @@ def test_observation_round_trip(x, a, y):
 
 
 def _knot_rows(pred):
-    """Query rows lying exactly on the knots of every spline basis that
-    ``pred`` reads."""
+    """Query rows around the knots of every spline basis that ``pred``
+    reads: below every knot, above every knot, exactly on each knot, and
+    on a different knot per coordinate."""
     if isinstance(pred, nuisance._BasisPredictor):
-        return list(pred.basis.knots.T)
+        knots = pred.basis.knots
+        d, m = knots.shape
+        rows = [knots.min(axis=1) - 1.0, knots.max(axis=1) + 1.0, *knots.T]
+        return rows + [knots[np.arange(d), (np.arange(d) + s) % m] for s in range(m)]
     if isinstance(pred, nuisance._ClippedPredictor):
         return _knot_rows(pred.inner)
     if isinstance(pred, nuisance._StackedPredictor):
@@ -112,16 +116,19 @@ def _knot_rows(pred):
 
 @given(st.sampled_from(nuisance._KINDS), st.sampled_from(["outcome", "propensity"]),
        st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=2**32 - 1))
+       st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([5, 200]))
+@example("knn", "outcome", 2, 0, 200)
+@example("knn", "propensity", 3, 1, 200)
 @settings(max_examples=80, deadline=None)
-def test_row_matches_block(kind, task, d, seed):
+def test_row_matches_block(kind, task, d, seed, k):
     # ``row`` on one list of floats against the block call on that one row:
-    # exact where the row path reuses the block arithmetic (mean, k-NN),
-    # and to rounding where it sums in Python floats
+    # exact where the row path reuses the block arithmetic (mean, k-NN,
+    # whose k = 200 makes every training row a neighbour), and to rounding
+    # where it sums in Python floats
     rng = np.random.default_rng(seed)
     n = 120
     x = rng.standard_normal((n, d))
-    spec = LearnerSpec(kind, k=5)
+    spec = LearnerSpec(kind, k=k)
     if task == "propensity":
         labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(float)
         labels[:2] = (0.0, 1.0)

@@ -193,6 +193,22 @@ class TestAteStudies:
         run_ate_miscoverage(sc, cfg, reps=2)
         assert calls == [0, 1, 0, 1]
 
+    def test_summary_records_first_and_last_miss(self):
+        import seqdr.simlab as simlab
+        from seqdr.boundaries import CsPoint
+
+        def point(t, estimate):  # psi is 1; a radius-0.5 interval misses off [0.5, 1.5]
+            return CsPoint.from_radius(t, estimate, 0.5, 1.0)
+
+        s = simlab._summarize_points([None, point(2, 1.0), point(3, 3.0), point(4, 1.0),
+                                      point(5, -2.0), point(6, 1.2)])
+        assert (s.first_miss_t, s.last_miss_t, s.n_emitted) == (3, 5, 5)
+        assert not s.uniform_coverage and s.final_coverage
+        s = simlab._summarize_points([None, point(2, 1.0), point(3, 0.7)])
+        assert (s.first_miss_t, s.last_miss_t, s.uniform_coverage) == (None, None, True)
+        s = simlab._summarize_points([None, None])
+        assert (s.first_miss_t, s.last_miss_t, s.n_emitted) == (None, None, 0)
+
     def test_unadjusted_alone_rejected(self):
         sc = SimScenario(kind="randomized_ate", n=100, seed=SeedSpec(11))
         with pytest.raises(DomainError):

@@ -109,6 +109,17 @@ def git_head(checkout: Path) -> str:
     return head
 
 
+def machine() -> str:
+    """CPUs, platform, Python, and numpy with the BLAS it was built
+    against (the BLAS decides the bits of a distance product)."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"{os.cpu_count()} CPUs; {platform.system()} {platform.machine()}, "
+            f"Python {platform.python_version()}, numpy {version('numpy')} "
+            f"({blas['name']} {blas['version']})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("base", type=Path, help="the parent checkout")
@@ -136,8 +147,7 @@ def main(argv=None) -> int:
     doc["parent_commit"] = git_head(base)
     doc["change_commit"] = git_head(ROOT)
     doc["command"] = f"python3 seqbench/run.py --workload NAME --seed SEED --seconds {seconds} --trace 0"
-    doc["machine"] = (f"{os.cpu_count()} CPUs; {platform.system()} {platform.machine()}, "
-                      f"Python {platform.python_version()}, numpy {version('numpy')}")
+    doc["machine"] = machine()
     doc["protocol"] = (f"pairs of {seconds}-s runs with the same seed on both commits, one "
                        "after the other, alternating which side runs first (odd seeds parent "
                        "first)")

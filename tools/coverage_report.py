@@ -5,8 +5,10 @@ batch scoring, ``default_boundary(0.1)``, t_min 25), or another learner
 kind, on ``observational_ate`` over replications 0..reps-1, on the
 streams criterion 7 reads, and writes one JSON object:
 
-    python3 tools/coverage_report.py [--reps 100] [--n 4000] [--seed 0]
+    python3 tools/coverage_report.py [--reps 100] [--n 4000]
         [--learner ensemble] [--out COVERAGE_observational.json]
+
+The master seed is 0, the seed criterion 7 reads.
 
 Keys: ``uniform_coverage`` (no emitted interval misses psi = 1),
 ``final_coverage`` (the last interval covers), ``median_final_width``,
@@ -35,55 +37,36 @@ from seqdr.nuisance import LearnerSpec  # noqa: E402
 from seqdr.numerics import SeedSpec  # noqa: E402
 
 ALPHA = 0.1
+MASTER_SEED = 0
 STARTS = (25, 500, 1000, 2000)
 
 
-def misses(rows) -> tuple[list[int], object]:
-    """The t of every emitted interval that misses psi, and the last point."""
-    missed, last = [], None
-    for row in rows:
-        p = row.point
-        if p is None:
-            continue
-        last = p
-        if not p.lower <= simlab._PSI_TRUE <= p.upper:
-            missed.append(row.t)
-    return missed, last
-
-
-def report(reps: int, n: int, seed: int, learner: str = "ensemble") -> dict:
-    scenario = simlab.SimScenario("observational_ate", n=n, seed=SeedSpec(seed))
+def report(reps: int, n: int, learner: str = "ensemble") -> dict:
+    scenario = simlab.SimScenario("observational_ate", n=n, seed=SeedSpec(MASTER_SEED))
     config = EngineConfig(boundary=default_boundary(ALPHA), mode=OBSERVATIONAL,
                           learner=LearnerSpec(learner))
-    first, last_miss, covered_final, widths, estimates = [], [], [], [], []
-    for rep in range(reps):
-        rows = simlab._run_engine_rep(scenario, config, rep,
-                                      simlab._observations(scenario, rep))
-        missed, point = misses(rows)
-        if point is None:
+    summaries = simlab.run_ate_study(scenario, {"dr": config}, reps)["dr"]
+    for rep, s in enumerate(summaries):
+        if not s.n_emitted:
             sys.exit(f"coverage_report: replication {rep} emitted no interval")
-        first.append(missed[0] if missed else None)
-        last_miss.append(missed[-1] if missed else None)
-        covered_final.append(point.lower <= simlab._PSI_TRUE <= point.upper)
-        widths.append(2.0 * point.radius)
-        estimates.append(point.estimate)
-    firsts = [t for t in first if t is not None]
+    firsts = [s.first_miss_t for s in summaries if s.first_miss_t is not None]
     return {
         "scenario": "observational_ate",
         "config": {"learner": config.learner.kind, "crossfit": config.crossfit,
                    "scoring": config.scoring, "alpha": ALPHA, "t_min": config.t_min},
-        "master_seed": seed,
+        "master_seed": MASTER_SEED,
         "n": n,
         "reps": reps,
-        "uniform_coverage": sum(t is None for t in first) / reps,
-        "final_coverage": sum(covered_final) / reps,
-        "median_final_width": statistics.median(widths),
-        "mean_final_estimate": statistics.fmean(estimates),
+        "uniform_coverage": sum(s.uniform_coverage for s in summaries) / reps,
+        "final_coverage": sum(s.final_coverage for s in summaries) / reps,
+        "median_final_width": statistics.median(s.final_width for s in summaries),
+        "mean_final_estimate": statistics.fmean(s.final_estimate for s in summaries),
         "median_first_miss_t": statistics.median(firsts) if firsts else None,
-        "coverage_from": {str(m): sum(t is None or t < m for t in last_miss) / reps
+        "coverage_from": {str(m): sum(s.last_miss_t is None or s.last_miss_t < m
+                                      for s in summaries) / reps
                           for m in STARTS if m <= n},
-        "first_miss_t": first,
-        "last_miss_t": last_miss,
+        "first_miss_t": [s.first_miss_t for s in summaries],
+        "last_miss_t": [s.last_miss_t for s in summaries],
     }
 
 
@@ -91,12 +74,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--reps", type=int, default=100)
     parser.add_argument("--n", type=int, default=4000)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--learner", default="ensemble", help="learner kind of both nuisances")
     parser.add_argument("--out", type=Path, default=Path("COVERAGE_observational.json"))
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    result = report(args.reps, args.n, args.seed, args.learner)
+    result = report(args.reps, args.n, args.learner)
     result["wall_s"] = round(time.perf_counter() - start, 1)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"uniform {result['uniform_coverage']:.3f} final {result['final_coverage']:.3f} "
